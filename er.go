@@ -86,7 +86,8 @@ type Options struct {
 	QueryBudget int64
 	// MaxIterations bounds the reoccurrence loop (default 16).
 	MaxIterations int
-	// RingSize is the trace buffer capacity (default 64 MB).
+	// RingSize is the trace ring's capacity: the wrap bound, default
+	// 64 MB. Memory grows with the trace actually written.
 	RingSize int
 	// StaticSlice enables failure-slice-pruned symbolic execution and
 	// deducibility-aware recording-set selection (internal/dataflow).

@@ -67,7 +67,8 @@ type Config struct {
 	// MaxRunsPerIteration bounds production runs awaited per
 	// failure reoccurrence (default 1000).
 	MaxRunsPerIteration int
-	// RingSize is the trace buffer capacity (default 64 MB).
+	// RingSize is the trace ring's capacity: the wrap bound, default
+	// 64 MB. Memory grows with the trace actually written.
 	RingSize int
 	// DeferTracing, when positive, leaves control-flow tracing off
 	// until the failure has been observed that many times (§3.1:

@@ -1,10 +1,13 @@
 package core_test
 
 import (
+	"runtime"
 	"strings"
 	"testing"
 
+	"execrecon/internal/apps"
 	"execrecon/internal/core"
+	"execrecon/internal/pt"
 	"execrecon/internal/symex"
 	"execrecon/internal/vm"
 )
@@ -233,5 +236,35 @@ func main() int {
 	}
 	if p2.Report().Occurrences != before {
 		t.Error("foreign failure counted as an occurrence")
+	}
+}
+
+// TestGenSourceTracedAllocs is the trace-memory regression: a traced
+// occurrence of any Table 1 app, recorded into a ring of the paper's
+// 64 MB capacity, must allocate in proportion to its trace (kilobytes)
+// rather than to the ring's capacity.
+func TestGenSourceTracedAllocs(t *testing.T) {
+	const limit = 1 << 20
+	for _, app := range apps.All() {
+		mod, err := app.Module()
+		if err != nil {
+			t.Fatal(err)
+		}
+		src := &core.GenSource{Gen: &core.FixedWorkload{Workload: app.Failing(), Seed: app.Seed}}
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		occ, err := src.Next(core.SourceRequest{
+			Deployed: mod, Entry: "main", Traced: true, MaxRuns: 1, RingSize: pt.DefaultRingSize,
+		})
+		runtime.ReadMemStats(&after)
+		if err != nil {
+			t.Fatalf("%s: %v", app.Name, err)
+		}
+		if occ.Trace == nil || len(occ.Trace.Events) == 0 {
+			t.Fatalf("%s: traced occurrence carries no trace", app.Name)
+		}
+		if n := after.TotalAlloc - before.TotalAlloc; n >= limit {
+			t.Errorf("%s: one traced occurrence allocated %d bytes (limit %d)", app.Name, n, limit)
+		}
 	}
 }

@@ -96,7 +96,8 @@ type Runner struct {
 	Model CostModel
 	// Runs per measurement (paper: 10).
 	Runs int
-	// RingSize for ER tracing (default 64 MB).
+	// RingSize is the ER tracing ring's capacity: the wrap bound,
+	// default 64 MB. Memory grows with the trace actually written.
 	RingSize int
 }
 
@@ -128,10 +129,11 @@ func (r *Runner) MeasureER(pristine, instrumented *ir.Module, w WorkloadFunc) Su
 		instrumented = pristine
 	}
 	var samples []Sample
+	ring := pt.NewRing(r.ringSize())
 	for i := 0; i < r.runs(); i++ {
 		wl, seed := w(i)
 		base := vm.New(pristine, vm.Config{Input: wl.Clone(), Seed: seed}).Run("main")
-		ring := pt.NewRing(r.ringSize())
+		ring.Reset()
 		enc := pt.NewEncoder(ring)
 		traced := vm.New(instrumented, vm.Config{Input: wl.Clone(), Seed: seed, Tracer: enc}).Run("main")
 		enc.Finish()

@@ -5,10 +5,11 @@
 // indirect transfer targets, CHUNK packets carrying coarse timestamps
 // at scheduling boundaries (the MTC analog used for cross-thread
 // ordering, §3.4), and PTW packets for data values emitted by ptwrite
-// instrumentation. Packets stream into a fixed-capacity ring buffer
-// (64 MB in the paper); periodic PSB sync points let the decoder
-// resynchronize after the ring wraps, and a wrap that destroys the
-// trace prefix is reported as an overflow.
+// instrumentation. Packets stream into a ring buffer whose capacity
+// (64 MB in the paper) bounds how much trace survives a wrap; its
+// memory grows with the trace actually written. Periodic PSB sync
+// points let the decoder resynchronize after the ring wraps, and a
+// wrap that destroys the trace prefix is reported as an overflow.
 package pt
 
 import (
@@ -32,30 +33,73 @@ const (
 // psbInterval is the byte distance between sync points.
 const psbInterval = 4096
 
-// DefaultRingSize is the per-application trace buffer size used by
-// the paper (64 MB).
+// DefaultRingSize is the per-application trace buffer capacity used
+// by the paper (64 MB). It is a wrap bound, not an allocation: a ring
+// only holds memory for the bytes actually written, up to this cap.
 const DefaultRingSize = 64 << 20
 
-// Ring is a byte ring buffer tracking total bytes ever written.
+// minRingAlloc is the first backing allocation of a ring (clamped to
+// its capacity); later growth doubles, also clamped.
+const minRingAlloc = 4 << 10
+
+// Ring is a byte ring buffer tracking total bytes ever written. Its
+// capacity bounds how much trace survives a wrap; the backing buffer
+// grows on demand up to that capacity, so a short trace in a 64 MB
+// ring costs kilobytes.
+//
+// Invariant: len(buf) == min(written, capacity). Until the first wrap
+// the buffer is the trace itself; once full, writes overwrite the
+// oldest bytes at written % capacity.
 type Ring struct {
-	buf     []byte
-	written uint64
+	buf      []byte
+	capacity int
+	written  uint64
 }
 
-// NewRing returns a ring of the given capacity.
+// NewRing returns an empty ring of the given capacity. No trace
+// memory is allocated until the first Write.
 func NewRing(capacity int) *Ring {
 	if capacity <= 0 {
 		capacity = DefaultRingSize
 	}
-	return &Ring{buf: make([]byte, capacity)}
+	return &Ring{capacity: capacity}
 }
 
 // Write appends bytes, overwriting the oldest data on wrap.
 func (r *Ring) Write(p []byte) {
-	for _, b := range p {
-		r.buf[r.written%uint64(len(r.buf))] = b
-		r.written++
+	if free := r.capacity - len(r.buf); free > 0 {
+		n := min(free, len(p))
+		r.reserve(n)
+		r.buf = append(r.buf, p[:n]...)
+		r.written += uint64(n)
+		p = p[n:]
+		if len(p) == 0 {
+			return
+		}
 	}
+	// Full: only the last capacity bytes of p can survive.
+	if len(p) > r.capacity {
+		r.written += uint64(len(p) - r.capacity)
+		p = p[len(p)-r.capacity:]
+	}
+	pos := int(r.written % uint64(r.capacity))
+	n := copy(r.buf[pos:], p)
+	copy(r.buf, p[n:])
+	r.written += uint64(len(p))
+}
+
+// reserve makes room for n more bytes without exceeding capacity,
+// doubling the backing array so growth stays amortized.
+func (r *Ring) reserve(n int) {
+	need := len(r.buf) + n
+	if need <= cap(r.buf) {
+		return
+	}
+	c := max(2*cap(r.buf), need, minRingAlloc)
+	c = min(c, r.capacity)
+	grown := make([]byte, len(r.buf), c)
+	copy(grown, r.buf)
+	r.buf = grown
 }
 
 // Bytes returns the surviving window in write order and the number of
@@ -68,9 +112,9 @@ func (r *Ring) Write(p []byte) {
 // persists these blobs long after the producing machine has reused its
 // ring, and TestRingBytesNoAlias pins the behavior.
 func (r *Ring) Bytes() (data []byte, lost uint64) {
-	cap64 := uint64(len(r.buf))
+	cap64 := uint64(r.capacity)
 	if r.written <= cap64 {
-		return append([]byte(nil), r.buf[:r.written]...), 0
+		return append([]byte(nil), r.buf...), 0
 	}
 	lost = r.written - cap64
 	start := r.written % cap64
@@ -84,14 +128,18 @@ func (r *Ring) Bytes() (data []byte, lost uint64) {
 // figure used by the overhead model).
 func (r *Ring) Written() uint64 { return r.written }
 
-// Reset rewinds the ring for reuse without reallocating its buffer.
-// Production machines (internal/prod) reuse one ring across benign
-// runs and only ship (and replace) it when a run fails, so steady
-// traffic does not allocate a fresh trace buffer per run.
-func (r *Ring) Reset() { r.written = 0 }
+// Reset rewinds the ring for reuse, keeping whatever buffer it has
+// grown. Production machines (internal/prod) reuse one ring across
+// benign runs and only ship (and replace) it when a run fails, so
+// steady traffic does not allocate a fresh trace buffer per run.
+func (r *Ring) Reset() {
+	r.buf = r.buf[:0]
+	r.written = 0
+}
 
-// Cap returns the ring's capacity in bytes.
-func (r *Ring) Cap() int { return len(r.buf) }
+// Cap returns the ring's capacity in bytes: the wrap bound, not the
+// memory currently held.
+func (r *Ring) Cap() int { return r.capacity }
 
 // Encoder serializes trace events into a Ring. It implements the
 // vm.Tracer shape (the vm package defines the interface; this type
@@ -101,6 +149,9 @@ type Encoder struct {
 
 	tntBits  []bool
 	sincePSB uint64
+	// pkt is scratch space for assembling one packet; the ring copies
+	// it out, so every packet reuses the same storage.
+	pkt [2 + 255/8 + 1]byte
 
 	// Event counts for the efficiency experiments.
 	NumTNT, NumTIP, NumPTW, NumChunk uint64
@@ -120,7 +171,7 @@ func (e *Encoder) emit(p []byte) {
 
 func (e *Encoder) emitPSB() {
 	e.flushTNT()
-	e.emit([]byte{hdrPSB})
+	e.emit(append(e.pkt[:0], hdrPSB))
 	e.sincePSB = 0
 }
 
@@ -144,7 +195,7 @@ func (e *Encoder) flushTNT() {
 	if n == 0 {
 		return
 	}
-	pkt := []byte{hdrTNT, byte(n)}
+	pkt := append(e.pkt[:0], hdrTNT, byte(n))
 	var cur byte
 	for i, b := range e.tntBits {
 		if b {
@@ -176,7 +227,7 @@ func (e *Encoder) TNT(taken bool) {
 func (e *Encoder) TIP(target uint64) {
 	e.NumTIP++
 	e.flushTNT()
-	e.emit(putUvarint([]byte{hdrTIP}, target))
+	e.emit(putUvarint(append(e.pkt[:0], hdrTIP), target))
 	e.maybePSB()
 }
 
@@ -186,7 +237,7 @@ func (e *Encoder) PTW(key int32, w ir.Width, val uint64) {
 	widthBits := uint8(w)
 	e.NumPTW++
 	e.flushTNT()
-	pkt := putUvarint([]byte{hdrPTW}, uint64(uint32(key)))
+	pkt := putUvarint(append(e.pkt[:0], hdrPTW), uint64(uint32(key)))
 	pkt = append(pkt, widthBits)
 	pkt = putUvarint(pkt, val)
 	e.emit(pkt)
@@ -200,7 +251,7 @@ func (e *Encoder) PTW(key int32, w ir.Width, val uint64) {
 // locate the preemption even in event-silent instruction stretches.
 func (e *Encoder) PGD(count uint64) {
 	e.flushTNT()
-	e.emit(putUvarint([]byte{hdrPGD}, count))
+	e.emit(putUvarint(append(e.pkt[:0], hdrPGD), count))
 	e.maybePSB()
 }
 
@@ -209,7 +260,7 @@ func (e *Encoder) PGD(count uint64) {
 func (e *Encoder) Chunk(tid int, ts uint64) {
 	e.NumChunk++
 	e.flushTNT()
-	pkt := putUvarint([]byte{hdrChunk}, uint64(tid))
+	pkt := putUvarint(append(e.pkt[:0], hdrChunk), uint64(tid))
 	pkt = putUvarint(pkt, ts)
 	e.emit(pkt)
 	e.maybePSB()
@@ -218,7 +269,7 @@ func (e *Encoder) Chunk(tid int, ts uint64) {
 // Finish flushes buffered bits and emits the end marker.
 func (e *Encoder) Finish() {
 	e.flushTNT()
-	e.emit([]byte{hdrEnd})
+	e.emit(append(e.pkt[:0], hdrEnd))
 }
 
 // EventKind classifies decoded events.

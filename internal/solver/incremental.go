@@ -264,7 +264,11 @@ func (inc *Incremental) reset() {
 	}
 	inc.b = expr.NewBuilder()
 	inc.elim = newArrayElim(inc.b, nil)
-	inc.core = newSAT(nil)
+	if inc.core == nil {
+		inc.core = newSAT(nil)
+	} else {
+		inc.core.reset(nil)
+	}
 	inc.bl = newBlaster(inc.core, nil)
 	inc.pool = nil
 	inc.pending = nil

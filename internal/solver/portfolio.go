@@ -210,7 +210,7 @@ func cubeLits(base *sat, assumps []lit, n int) [][]lit {
 	}
 	occ := make([]int, base.numVars)
 	for _, cl := range base.clauses {
-		for _, l := range cl.lits {
+		for _, l := range base.clauseLits(cl) {
 			occ[l.vindex()]++
 		}
 	}
@@ -304,18 +304,19 @@ func (r *replica) catchUp(base *sat) bool {
 			return false
 		}
 		if s.value(u) == tUndef {
-			s.uncheckedEnqueue(u, nil)
+			s.uncheckedEnqueue(u, crefNone)
 		}
 	}
 	r.nunits = len(units)
-	if s.propagate() != nil {
+	if s.propagate() != crefNone {
 		s.failed = true
 		return false
 	}
 	for _, c := range base.clauses[r.nclauses:] {
 		// addClauseAtZero compacts its argument in place; the replica
 		// needs its own copy of the base's literals.
-		if !s.addClauseAtZero(append([]lit(nil), c.lits...)) {
+		s.addBuf = append(s.addBuf[:0], base.clauseLits(c)...)
+		if !s.addClauseAtZero(s.addBuf) {
 			return false
 		}
 	}

@@ -12,6 +12,12 @@ import (
 // unsat variants additionally pin a variable to two different values.
 func genSystem(rng *rand.Rand, unsat bool) (*expr.Builder, []*expr.Expr) {
 	b := expr.NewBuilder()
+	return b, genSystemIn(b, rng, unsat)
+}
+
+// genSystemIn is genSystem over an existing builder, so a sequence of
+// systems can share one Solver.
+func genSystemIn(b *expr.Builder, rng *rand.Rand, unsat bool) []*expr.Expr {
 	const w = 12
 	vars := []*expr.Expr{b.Var("a", w), b.Var("b", w), b.Var("c", w)}
 	witness := expr.NewAssignment()
@@ -58,7 +64,7 @@ func genSystem(rng *rand.Rand, unsat bool) (*expr.Builder, []*expr.Expr) {
 			b.Eq(v, b.Const(pin, w)),
 			b.Eq(v, b.Const(pin^1, w)))
 	}
-	return b, cs
+	return cs
 }
 
 // TestPortfolioDifferential races K ∈ {2,4,8} seeded workers (with

@@ -53,26 +53,44 @@ func (t tribool) negate() tribool {
 	return tUndef
 }
 
-// clause is a disjunction of literals. Learnt clauses carry an
-// activity for deletion policies (kept simple here: we bound the
-// learnt database and periodically drop inactive clauses).
-type clause struct {
-	lits   []lit
-	learnt bool
-	act    float64
+// cref addresses a clause in the core's arena: the index of its
+// header word. The arena stores every clause MiniSat-style, as a
+// header followed by its literals, so the whole clause database is one
+// slice the garbage collector never has to trace. arena[0] is a
+// sentinel, which makes cref 0 (crefNone) mean "no clause".
+type cref uint32
+
+const crefNone cref = 0
+
+// Clause header word: the literal count above two flag bits.
+const (
+	clauseLearnt  = 1 << 0
+	clauseDeleted = 1 << 1 // dropped by reduceLearnts; space reclaimed by compact
+	clauseShift   = 2
+)
+
+// watcher is one entry of a literal's watch list.
+type watcher struct {
+	c cref
 }
 
 // sat is a CDCL SAT solver with two-watched-literal propagation,
 // first-UIP learning, VSIDS-style variable activities, and Luby
 // restarts.
 type sat struct {
-	clauses []*clause
-	learnts []*clause
-	watches [][]*clause // indexed by lit
+	// arena holds every clause (see cref); wasted counts the words
+	// held by deleted clauses until compact reclaims them. clauses and
+	// learnts list the live problem and learnt clauses in insertion
+	// order.
+	arena   []lit
+	wasted  int
+	clauses []cref
+	learnts []cref
+	watches [][]watcher // indexed by lit
 
 	assigns  []tribool // indexed by var
 	level    []int
-	reason   []*clause
+	reason   []cref // crefNone for decisions, units and unassigned vars
 	activity []float64
 	polarity []bool // phase saving
 	varInc   float64
@@ -85,6 +103,11 @@ type sat struct {
 	heapPos []int // var -> heap index, -1 if absent
 
 	seen []bool
+
+	// Scratch buffers reused across calls: the clause under
+	// construction in analyze, and addClauseDynamic's simplified copy.
+	learntBuf []lit
+	addBuf    []lit
 
 	numVars      int
 	failed       bool
@@ -129,9 +152,59 @@ type sat struct {
 const defaultRestartBase = 64
 
 func newSAT(budget *Budget) *sat {
-	s := &sat{varInc: 1, budget: budget, restartBase: defaultRestartBase}
-	s.newVar() // var 0 placeholder
+	s := &sat{}
+	s.reset(budget)
 	return s
+}
+
+// reset returns the core to its freshly constructed state (no
+// variables beyond the placeholder, no clauses, the seed-0 search)
+// while keeping the capacity of every vector and watch list, so a core
+// answering one query after another stops regrowing them from zero.
+func (s *sat) reset(budget *Budget) {
+	*s = sat{
+		arena:     append(s.arena[:0], 0), // cref 0 sentinel
+		clauses:   s.clauses[:0],
+		learnts:   s.learnts[:0],
+		watches:   s.watches[:0],
+		assigns:   s.assigns[:0],
+		level:     s.level[:0],
+		reason:    s.reason[:0],
+		activity:  s.activity[:0],
+		polarity:  s.polarity[:0],
+		trail:     s.trail[:0],
+		trailLim:  s.trailLim[:0],
+		heap:      s.heap[:0],
+		heapPos:   s.heapPos[:0],
+		seen:      s.seen[:0],
+		learntBuf: s.learntBuf[:0],
+		addBuf:    s.addBuf[:0],
+
+		varInc:      1,
+		budget:      budget,
+		restartBase: defaultRestartBase,
+	}
+	s.newVar() // var 0 placeholder
+}
+
+// clauseLits returns clause c's literals, aliasing the arena: watch
+// maintenance reorders them in place. Valid until the next clause is
+// allocated or the arena compacted.
+func (s *sat) clauseLits(c cref) []lit {
+	end := c + 1 + cref(s.arena[c]>>clauseShift)
+	return s.arena[c+1 : end : end]
+}
+
+// allocClause appends a clause of lits (at least two) to the arena.
+func (s *sat) allocClause(lits []lit, learnt bool) cref {
+	c := cref(len(s.arena))
+	h := lit(len(lits)) << clauseShift
+	if learnt {
+		h |= clauseLearnt
+	}
+	s.arena = append(s.arena, h)
+	s.arena = append(s.arena, lits...)
+	return c
 }
 
 // setSeed installs the diversification seed. Seed 0 restores the
@@ -167,12 +240,19 @@ func (s *sat) newVar() int {
 	s.numVars++
 	s.assigns = append(s.assigns, tUndef)
 	s.level = append(s.level, 0)
-	s.reason = append(s.reason, nil)
+	s.reason = append(s.reason, crefNone)
 	s.activity = append(s.activity, 0)
 	s.polarity = append(s.polarity, false)
-	s.watches = append(s.watches, nil, nil)
 	s.seen = append(s.seen, false)
 	s.heapPos = append(s.heapPos, -1)
+	// Watch lists left past len by reset keep their capacity.
+	if n := len(s.watches); n+2 <= cap(s.watches) {
+		s.watches = s.watches[:n+2]
+		s.watches[n] = s.watches[n][:0]
+		s.watches[n+1] = s.watches[n+1][:0]
+	} else {
+		s.watches = append(s.watches, nil, nil)
+	}
 	if v != 0 {
 		s.heapInsert(v)
 	}
@@ -241,15 +321,15 @@ outerZero:
 			return false
 		}
 		if s.value(lits[0]) == tUndef {
-			s.uncheckedEnqueue(lits[0], nil)
+			s.uncheckedEnqueue(lits[0], crefNone)
 		}
-		if s.propagate() != nil {
+		if s.propagate() != crefNone {
 			s.failed = true
 			return false
 		}
 		return true
 	}
-	c := &clause{lits: append([]lit(nil), lits...)}
+	c := s.allocClause(lits, false)
 	s.clauses = append(s.clauses, c)
 	s.watchClause(c)
 	return true
@@ -278,7 +358,7 @@ func (s *sat) addClauseDynamic(lits []lit) bool {
 	// Level-0 simplification only (higher-level assignments are
 	// transient and must not erase literals). Duplicate detection is a
 	// linear scan over the kept prefix, as in addClauseAtZero.
-	out := make([]lit, 0, len(lits))
+	out := s.addBuf[:0]
 outerDyn:
 	for _, l := range lits {
 		for _, o := range out {
@@ -301,6 +381,7 @@ outerDyn:
 		}
 		out = append(out, l)
 	}
+	s.addBuf = out
 	// Partition: non-false literals first.
 	nf := 0
 	for i, l := range out {
@@ -324,7 +405,7 @@ outerDyn:
 			}
 		}
 		out[1], out[maxI] = out[maxI], out[1]
-		c := &clause{lits: out}
+		c := s.allocClause(out, false)
 		s.clauses = append(s.clauses, c)
 		s.watchClause(c)
 		if s.value(out[0]) == tUndef {
@@ -332,18 +413,32 @@ outerDyn:
 		}
 		return true
 	}
-	c := &clause{lits: out}
+	c := s.allocClause(out, false)
 	s.clauses = append(s.clauses, c)
 	s.watchClause(c)
 	return true
 }
 
-func (s *sat) watchClause(c *clause) {
-	s.watches[c.lits[0].negate()] = append(s.watches[c.lits[0].negate()], c)
-	s.watches[c.lits[1].negate()] = append(s.watches[c.lits[1].negate()], c)
+func (s *sat) watchClause(c cref) {
+	lits := s.clauseLits(c)
+	s.watches[lits[0].negate()] = append(s.watches[lits[0].negate()], watcher{c})
+	s.watches[lits[1].negate()] = append(s.watches[lits[1].negate()], watcher{c})
 }
 
-func (s *sat) uncheckedEnqueue(l lit, from *clause) {
+// learn attaches the clause analyze derived and enqueues its asserting
+// literal; the caller has already backtracked to the asserting level.
+func (s *sat) learn(learnt []lit) {
+	if len(learnt) == 1 {
+		s.uncheckedEnqueue(learnt[0], crefNone)
+		return
+	}
+	c := s.allocClause(learnt, true)
+	s.learnts = append(s.learnts, c)
+	s.watchClause(c)
+	s.uncheckedEnqueue(learnt[0], c)
+}
+
+func (s *sat) uncheckedEnqueue(l lit, from cref) {
 	v := l.vindex()
 	if l.sign() {
 		s.assigns[v] = tFalse
@@ -358,36 +453,38 @@ func (s *sat) uncheckedEnqueue(l lit, from *clause) {
 func (s *sat) decisionLevel() int { return len(s.trailLim) }
 
 // propagate performs unit propagation; it returns the conflicting
-// clause or nil.
-func (s *sat) propagate() *clause {
+// clause or crefNone.
+func (s *sat) propagate() cref {
 	for s.qhead < len(s.trail) {
 		p := s.trail[s.qhead]
 		s.qhead++
 		s.propagations++
+		falseLit := p.negate()
 		ws := s.watches[p]
 		kept := ws[:0]
-		var conflict *clause
+		conflict := crefNone
 		for wi := 0; wi < len(ws); wi++ {
-			c := ws[wi]
-			if conflict != nil {
-				kept = append(kept, c)
+			w := ws[wi]
+			if conflict != crefNone {
+				kept = append(kept, w)
 				continue
 			}
+			lits := s.clauseLits(w.c)
 			// Ensure the false literal is lits[1].
-			if c.lits[0] == p.negate() {
-				c.lits[0], c.lits[1] = c.lits[1], c.lits[0]
+			if lits[0] == falseLit {
+				lits[0], lits[1] = lits[1], lits[0]
 			}
 			// Clause already satisfied by lits[0]?
-			if s.value(c.lits[0]) == tTrue {
-				kept = append(kept, c)
+			if s.value(lits[0]) == tTrue {
+				kept = append(kept, w)
 				continue
 			}
 			// Look for a new literal to watch.
 			found := false
-			for i := 2; i < len(c.lits); i++ {
-				if s.value(c.lits[i]) != tFalse {
-					c.lits[1], c.lits[i] = c.lits[i], c.lits[1]
-					s.watches[c.lits[1].negate()] = append(s.watches[c.lits[1].negate()], c)
+			for i := 2; i < len(lits); i++ {
+				if s.value(lits[i]) != tFalse {
+					lits[1], lits[i] = lits[i], lits[1]
+					s.watches[lits[1].negate()] = append(s.watches[lits[1].negate()], w)
 					found = true
 					break
 				}
@@ -396,26 +493,27 @@ func (s *sat) propagate() *clause {
 				continue // moved to another watch list
 			}
 			// Unit or conflicting.
-			kept = append(kept, c)
-			if s.value(c.lits[0]) == tFalse {
-				conflict = c
+			kept = append(kept, w)
+			if s.value(lits[0]) == tFalse {
+				conflict = w.c
 				s.qhead = len(s.trail)
 			} else {
-				s.uncheckedEnqueue(c.lits[0], c)
+				s.uncheckedEnqueue(lits[0], w.c)
 			}
 		}
 		s.watches[p] = kept
-		if conflict != nil {
+		if conflict != crefNone {
 			return conflict
 		}
 	}
-	return nil
+	return crefNone
 }
 
 // analyze performs first-UIP conflict analysis, returning the learnt
-// clause (asserting literal first) and the backtrack level.
-func (s *sat) analyze(conflict *clause) ([]lit, int) {
-	learnt := []lit{litUndef}
+// clause (asserting literal first) and the backtrack level. The clause
+// lives in a scratch buffer, valid until the next analyze.
+func (s *sat) analyze(conflict cref) ([]lit, int) {
+	learnt := append(s.learntBuf[:0], litUndef)
 	counter := 0
 	var p lit = litUndef
 	idx := len(s.trail) - 1
@@ -425,7 +523,7 @@ func (s *sat) analyze(conflict *clause) ([]lit, int) {
 		if p != litUndef {
 			start = 1
 		}
-		for _, q := range c.lits[start:] {
+		for _, q := range s.clauseLits(c)[start:] {
 			v := q.vindex()
 			if !s.seen[v] && s.level[v] > 0 {
 				s.seen[v] = true
@@ -467,6 +565,7 @@ func (s *sat) analyze(conflict *clause) ([]lit, int) {
 	for _, q := range learnt {
 		s.seen[q.vindex()] = false
 	}
+	s.learntBuf = learnt
 	return learnt, bt
 }
 
@@ -494,7 +593,7 @@ func (s *sat) backtrackTo(level int) {
 		v := s.trail[i].vindex()
 		s.polarity[v] = s.assigns[v] == tTrue
 		s.assigns[v] = tUndef
-		s.reason[v] = nil
+		s.reason[v] = crefNone
 		if s.heapPos[v] < 0 {
 			s.heapInsert(v)
 		}
@@ -655,7 +754,7 @@ func (s *sat) fastSolve(assumps []lit) (satResult, bool) {
 	// yet flushed. A conflict here is handled by the regular search
 	// after backtracking.
 	if s.modelHeld {
-		if conflict := s.propagate(); conflict == nil && s.extendModel(assumps) {
+		if conflict := s.propagate(); conflict == crefNone && s.extendModel(assumps) {
 			s.fastSats++
 			return satSat, true
 		}
@@ -678,7 +777,7 @@ func (s *sat) searchAssume(assumps []lit) satResult {
 	maxLearnts := len(s.clauses)/2 + 1000
 	for {
 		conflict := s.propagate()
-		if conflict != nil {
+		if conflict != crefNone {
 			s.conflicts++
 			conflictCount++
 			if s.budget != nil && !s.budget.spend(50) {
@@ -694,18 +793,11 @@ func (s *sat) searchAssume(assumps []lit) satResult {
 				return satUnsat
 			}
 			learnt, bt := s.analyze(conflict)
-			// Publish before attaching: watch maintenance reorders
-			// c.lits in place, so the exchange must copy now.
+			// Publish before attaching: the exchange copies the
+			// scratch clause, which the next analyze overwrites.
 			s.exchange.publish(s.exchangeID, learnt)
 			s.backtrackTo(bt)
-			if len(learnt) == 1 {
-				s.uncheckedEnqueue(learnt[0], nil)
-			} else {
-				c := &clause{lits: learnt, learnt: true}
-				s.learnts = append(s.learnts, c)
-				s.watchClause(c)
-				s.uncheckedEnqueue(learnt[0], c)
-			}
+			s.learn(learnt)
 			s.decayActivities()
 			continue
 		}
@@ -743,7 +835,7 @@ func (s *sat) searchAssume(assumps []lit) satResult {
 			}
 			s.trailLim = append(s.trailLim, len(s.trail))
 			if s.value(p) == tUndef {
-				s.uncheckedEnqueue(p, nil)
+				s.uncheckedEnqueue(p, crefNone)
 			}
 			continue
 		}
@@ -758,7 +850,7 @@ func (s *sat) searchAssume(assumps []lit) satResult {
 		if s.randPhasePm > 0 && s.nextRand()%1000 < s.randPhasePm {
 			neg = s.nextRand()&1 == 0
 		}
-		s.uncheckedEnqueue(mkLit(v, neg), nil)
+		s.uncheckedEnqueue(mkLit(v, neg), crefNone)
 	}
 }
 
@@ -771,7 +863,7 @@ func (s *sat) importShared() bool {
 		if !s.addClause(lits) || s.failed {
 			return false
 		}
-		if conflict := s.propagate(); conflict != nil {
+		if conflict := s.propagate(); conflict != crefNone {
 			// Conflict while re-propagating an import at (or near) the
 			// root: let the regular conflict handling see it by
 			// rewinding to level 0; a root conflict is then caught by
@@ -781,7 +873,7 @@ func (s *sat) importShared() bool {
 				return false
 			}
 			s.backtrackTo(0)
-			if s.propagate() != nil {
+			if s.propagate() != crefNone {
 				s.failed = true
 				return false
 			}
@@ -830,8 +922,8 @@ func (s *sat) extendModel(assumps []lit) bool {
 			}
 			s.decisions++
 			s.trailLim = append(s.trailLim, len(s.trail))
-			s.uncheckedEnqueue(p, nil)
-			if conflict := s.propagate(); conflict != nil {
+			s.uncheckedEnqueue(p, crefNone)
+			if conflict := s.propagate(); conflict != crefNone {
 				if !s.repairConflicts(conflict, 0, &repairConf) {
 					return false
 				}
@@ -874,8 +966,8 @@ func (s *sat) extendModel(assumps []lit) bool {
 		}
 		s.decisions++
 		s.trailLim = append(s.trailLim, len(s.trail))
-		s.uncheckedEnqueue(mkLit(v, !s.polarity[v]), nil)
-		if conflict := s.propagate(); conflict != nil {
+		s.uncheckedEnqueue(mkLit(v, !s.polarity[v]), crefNone)
+		if conflict := s.propagate(); conflict != crefNone {
 			if !s.repairConflicts(conflict, floor, &repairConf) {
 				return false
 			}
@@ -893,8 +985,8 @@ func (s *sat) extendModel(assumps []lit) bool {
 // arises at or below floor (repair cannot make progress without
 // undoing the protected trail), or the budget runs out; the caller
 // then bails to the regular search.
-func (s *sat) repairConflicts(conflict *clause, floor int, repairs *int64) bool {
-	for ; conflict != nil; conflict = s.propagate() {
+func (s *sat) repairConflicts(conflict cref, floor int, repairs *int64) bool {
+	for ; conflict != crefNone; conflict = s.propagate() {
 		s.conflicts++
 		*repairs++
 		if *repairs > 256 || s.decisionLevel() <= floor {
@@ -908,14 +1000,7 @@ func (s *sat) repairConflicts(conflict *clause, floor int, repairs *int64) bool 
 			bt = floor
 		}
 		s.backtrackTo(bt)
-		if len(learnt) == 1 {
-			s.uncheckedEnqueue(learnt[0], nil)
-		} else {
-			c := &clause{lits: learnt, learnt: true}
-			s.learnts = append(s.learnts, c)
-			s.watchClause(c)
-			s.uncheckedEnqueue(learnt[0], c)
-		}
+		s.learn(learnt)
 		s.decayActivities()
 	}
 	return true
@@ -928,40 +1013,86 @@ func (s *sat) dropTrail() {
 	s.modelHeld = false
 }
 
+// locked reports whether clause c is the reason for an assignment on
+// the trail. A reason clause always implies its first literal (the
+// literal is true, so watch maintenance never swaps it away), so only
+// that variable needs checking.
+func (s *sat) locked(c cref) bool {
+	return s.reason[s.arena[c+1].vindex()] == c
+}
+
 // reduceLearnts drops roughly half of the learnt clauses (the longer
-// ones), keeping reason clauses.
+// ones), keeping reason clauses. Dropped clauses are flagged deleted in
+// their headers and unhooked from the watch lists; their arena space
+// is reclaimed by compact once it is half the arena.
 func (s *sat) reduceLearnts() {
-	locked := make(map[*clause]bool)
-	for _, c := range s.reason {
-		if c != nil && c.learnt {
-			locked[c] = true
-		}
-	}
 	// Simple policy: keep binary clauses and the shorter half.
 	kept := s.learnts[:0]
-	removed := make(map[*clause]bool)
+	removed := false
 	n := len(s.learnts)
 	for i, c := range s.learnts {
-		if locked[c] || len(c.lits) <= 2 || i >= n/2 {
+		size := int(s.arena[c] >> clauseShift)
+		if size <= 2 || i >= n/2 || s.locked(c) {
 			kept = append(kept, c)
 		} else {
-			removed[c] = true
+			s.arena[c] |= clauseDeleted
+			s.wasted += 1 + size
+			removed = true
 		}
 	}
 	s.learnts = kept
-	if len(removed) == 0 {
+	if !removed {
 		return
 	}
-	for li := range s.watches {
-		ws := s.watches[li]
+	for li, ws := range s.watches {
 		out := ws[:0]
-		for _, c := range ws {
-			if !removed[c] {
-				out = append(out, c)
+		for _, w := range ws {
+			if s.arena[w.c]&clauseDeleted == 0 {
+				out = append(out, w)
 			}
 		}
 		s.watches[li] = out
 	}
+	if 2*s.wasted > len(s.arena) {
+		s.compact()
+	}
+}
+
+// compact rebuilds the arena without deleted clauses, keeping live
+// ones in their relative order, and rewrites every cref the core
+// holds. crefs are opaque handles, so the search is unaffected.
+func (s *sat) compact() {
+	old := s.arena
+	to := make([]lit, 1, len(old)-s.wasted)
+	for c := 1; c < len(old); {
+		h := old[c]
+		end := c + 1 + int(h>>clauseShift)
+		if h&clauseDeleted == 0 {
+			// Every clause has at least two literals, so old[c+1] can
+			// hold the forwarding address once the clause is copied.
+			to = append(to, old[c:end]...)
+			old[c+1] = lit(len(to) - (end - c))
+		}
+		c = end
+	}
+	fwd := func(c cref) cref { return cref(old[c+1]) }
+	for i, c := range s.clauses {
+		s.clauses[i] = fwd(c)
+	}
+	for i, c := range s.learnts {
+		s.learnts[i] = fwd(c)
+	}
+	for v, c := range s.reason {
+		if c != crefNone {
+			s.reason[v] = fwd(c)
+		}
+	}
+	for _, ws := range s.watches {
+		for i := range ws {
+			ws[i].c = fwd(ws[i].c)
+		}
+	}
+	s.arena, s.wasted = to, 0
 }
 
 // modelValue returns the model value of var v after satSat.

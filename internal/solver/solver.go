@@ -112,12 +112,15 @@ type Stats struct {
 }
 
 // Solver decides conjunctions of bitvector/array constraints built
-// with a shared expr.Builder. Each Solve call is independent.
+// with a shared expr.Builder. Each Solve call is independent: its CNF
+// is blasted into one SAT core that is reset between calls, keeping
+// only the capacity of the core's vectors and clause arena.
 type Solver struct {
 	b      *expr.Builder
 	opts   Options
 	last   Stats
 	pstats PortfolioStats
+	core   *sat
 }
 
 // PortfolioStats returns the cumulative racing counters (zero when no
@@ -202,7 +205,12 @@ func (s *Solver) Solve(cs []*expr.Expr) (Result, *expr.Assignment, error) {
 	}
 
 	// Stage 2: bit blasting, with query-refined variable bits pinned.
-	core = newSAT(budget)
+	if s.core == nil {
+		s.core = newSAT(budget)
+	} else {
+		s.core.reset(budget)
+	}
+	core = s.core
 	bl := newBlaster(core, budget)
 	bl.narrow = narrow
 	unsatEarly := false

@@ -59,6 +59,10 @@ func (s *Source) Next(req core.SourceRequest) (*core.Occurrence, error) {
 	if maxRuns <= 0 {
 		maxRuns = 1000
 	}
+	// One ring serves every try: a non-matching run's trace is simply
+	// rewound, and a matching one is copied out (Decode / AppendRing
+	// go through Ring.Bytes) before the ring could be reused.
+	var ring *pt.Ring
 	for tries := 0; tries < maxRuns; tries++ {
 		w, seed := s.Gen.Run(s.runIdx)
 		s.runIdx++
@@ -72,7 +76,11 @@ func (s *Source) Next(req core.SourceRequest) (*core.Occurrence, error) {
 			}
 			return &core.Occurrence{Result: res, Seed: seed}, nil
 		}
-		ring := pt.NewRing(req.RingSize)
+		if ring == nil {
+			ring = pt.NewRing(req.RingSize)
+		} else {
+			ring.Reset()
+		}
 		enc := pt.NewEncoder(ring)
 		res := vm.New(req.Deployed, vm.Config{Input: w, Tracer: enc, Seed: seed}).Run(req.Entry)
 		if res.Failure == nil {
