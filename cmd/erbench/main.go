@@ -20,13 +20,12 @@
 //	          + N triage nodes over loopback HTTP, scaling measured at
 //	          {1,2,4} <= N), and -kill-after D adds a node-kill chaos
 //	          run that must preserve verdict parity
-//	solvecache  incremental solver-session ablation: fresh-per-query vs
-//	          one persistent session per pipeline (cumulative solver
-//	          time, constraint reuse, verdict parity); -portfolio N
-//	          adds a third configuration racing each query across N
-//	          seeded CDCL workers (optionally -cube-vars splits and
-//	          -speculate pre-solving), comparing sequential vs raced
-//	          session wall clock under the same parity gate
+//	portfolio solver racing under stall budgets: each bug reproduced
+//	          with paced reoccurrences (-pace), solving sequentially vs
+//	          racing each stalled query across -portfolio seeded CDCL
+//	          workers (optionally -cube-vars splits), comparing
+//	          end-to-end time and occurrences under a verdict-parity
+//	          gate
 //	tracestore  persistent trace archive: per-app raw-vs-stored
 //	          compression over archived reoccurrences, ingest
 //	          throughput, and verdict parity when every trace is read
@@ -86,7 +85,7 @@ import (
 var experiments = []string{
 	"fig1", "table1", "offline", "fig5", "fig6", "random",
 	"accuracy", "rept", "mimic", "ablation", "mt", "fleet",
-	"solvecache", "tracestore", "absint", "slice", "telemetry",
+	"portfolio", "tracestore", "absint", "slice", "telemetry",
 	"obs", "corpus",
 }
 
@@ -110,11 +109,10 @@ func main() {
 	machines := flag.Int("machines", 0, "producer machines per app for the fleet experiment (0 = default 2)")
 	nodes := flag.Int("nodes", 0, "run the fleet experiment through an in-process multi-node cluster (coordinator + N triage nodes over loopback HTTP); scaling is measured at every count in {1,2,4} <= N")
 	killAfter := flag.Duration("kill-after", 0, "with -nodes >= 2, kill -9 one triage node this long into an extra chaos run (all buckets must still resolve via lease re-dispatch)")
-	pace := flag.Duration("pace", 0, "production-run spacing per fleet machine (0 = default 100ms); also the solvecache portfolio mode's simulated reoccurrence interval (0 = default 1s)")
+	pace := flag.Duration("pace", 0, "production-run spacing per fleet machine (0 = default 100ms); also the portfolio experiment's simulated reoccurrence interval (0 = default 1s)")
 	trials := flag.Int("trials", 0, "timed repetitions per mode for the telemetry and obs experiments (0 = default 3)")
-	portfolio := flag.Int("portfolio", 0, "racing CDCL workers per query for the solvecache experiment's third mode (<=1 = off)")
-	cubeVars := flag.Int("cube-vars", 0, "cube-and-conquer split variables for the solvecache portfolio mode (0 = no cubes)")
-	speculate := flag.Bool("speculate", false, "speculatively pre-solve stall constraints during waits in the solvecache portfolio mode")
+	portfolio := flag.Int("portfolio", 0, fmt.Sprintf("racing CDCL workers per query for the portfolio experiment (0 = default %d)", bench.DefaultPortfolioWorkers))
+	cubeVars := flag.Int("cube-vars", 0, "cube-and-conquer split variables for the portfolio experiment (0 = no cubes)")
 	useAbsint := flag.Bool("absint", false, "enable the abstract-interpretation pre-pass across the corpus experiment's pipelines")
 	absintWiden := flag.Int("absint-widen", 0, "fixpoint widening threshold for the abstract pass (0 = default)")
 	corpusN := flag.Int("corpus-n", 200, "generated scenarios for the corpus experiment")
@@ -179,17 +177,14 @@ func main() {
 		os.Exit(2)
 	}
 	// Portfolio sizing flags: negative widths are caller mistakes, and
-	// cube/speculation settings are meaningless without racing on.
-	if *portfolio < 0 {
-		fmt.Fprintf(os.Stderr, "erbench: -portfolio must be >= 0 (got %d)\n", *portfolio)
+	// a single worker races nothing.
+	if *portfolio < 0 || *portfolio == 1 {
+		fmt.Fprintf(os.Stderr, "erbench: -portfolio must be 0 (default %d) or > 1 (got %d)\n",
+			bench.DefaultPortfolioWorkers, *portfolio)
 		os.Exit(2)
 	}
 	if *cubeVars < 0 {
 		fmt.Fprintf(os.Stderr, "erbench: -cube-vars must be >= 0 (got %d)\n", *cubeVars)
-		os.Exit(2)
-	}
-	if (*cubeVars > 0 || *speculate) && *portfolio <= 1 {
-		fmt.Fprintln(os.Stderr, "erbench: -cube-vars/-speculate require -portfolio > 1")
 		os.Exit(2)
 	}
 	// Abstract-pass knobs: the ablation *is* the off-vs-on comparison,
@@ -406,13 +401,12 @@ func main() {
 		}
 		fmt.Fprintln(out)
 	}
-	if run("solvecache") {
-		fmt.Fprintln(out, "== incremental solver-session ablation (fresh vs session) ==")
-		opts := bench.SolveCacheOptions{
-			Portfolio: *portfolio,
-			CubeVars:  *cubeVars,
-			Speculate: *speculate,
-			Pace:      *pace,
+	if run("portfolio") {
+		fmt.Fprintln(out, "== portfolio racing under stall budgets (sequential vs raced) ==")
+		opts := bench.PortfolioExpOptions{
+			Workers:  *portfolio,
+			CubeVars: *cubeVars,
+			Pace:     *pace,
 		}
 		if *app != "" {
 			opts.Only = []string{*app}
@@ -420,12 +414,12 @@ func main() {
 		if log != nil {
 			opts.Log = log
 		}
-		r, err := bench.RunSolveCache(opts)
+		r, err := bench.RunPortfolio(opts)
 		if err != nil {
-			fmt.Fprintln(os.Stderr, "solvecache:", err)
+			fmt.Fprintln(os.Stderr, "portfolio:", err)
 			ok = false
 		} else {
-			bench.RenderSolveCache(out, r)
+			bench.RenderPortfolio(out, r)
 			if !r.AllVerdictsMatch {
 				ok = false
 			}

@@ -10,9 +10,10 @@ import (
 )
 
 // Fig1Position places one system on the three §2 spectra. Efficiency
-// and the boundaries are measured where we have an implementation
-// (ER, rr, REPT); the remaining systems are the paper's published
-// characterizations, included so the figure is complete.
+// and the boundaries are measured where we have an implementation or
+// model (ER, REPT, and rr through prod.Runner.MeasureRR's cost model);
+// the remaining systems are the paper's published characterizations,
+// included so the figure is complete.
 type Fig1Position struct {
 	System     string
 	OverheadPc float64 // measured or published runtime overhead
@@ -54,7 +55,7 @@ func RunFig1() ([]Fig1Position, error) {
 		{System: "ER (this library)", OverheadPc: erPct, Measured: true,
 			Efficient: erPct < 10, Effective: true, Accurate: true,
 			Note: "verified replayable test cases for all 13 bugs incl. latent + MT"},
-		{System: "Full RR (internal/rr)", OverheadPc: rrPct, Measured: true,
+		{System: "Full RR (cost model)", OverheadPc: rrPct, Measured: true,
 			Efficient: rrPct < 10, Effective: true, Accurate: true,
 			Note: "bit-exact replay; overhead prohibitive"},
 		{System: "REPT (internal/rept)", OverheadPc: erPct, Measured: true,

@@ -3,6 +3,7 @@ package bench
 import (
 	"fmt"
 	"io"
+	"runtime"
 	"time"
 
 	"execrecon/internal/apps"
@@ -87,35 +88,50 @@ func RunFig5(appName string) (*Fig5Result, error) {
 		"control-flow + 1st iteration data values",
 		"control-flow + 2nd iteration data values",
 	}
-	res := &Fig5Result{App: a.Name}
+	// Solver timeout disabled (§5.2): every configuration executes
+	// the same instructions to completion. The work per configuration
+	// is deterministic, but the later generations finish in
+	// single-digit milliseconds, where one scheduling hiccup or a
+	// garbage collection left over from the previous (far larger)
+	// run dwarfs the real difference. So each configuration is
+	// measured several times after a forced collection, with the
+	// repetitions interleaved across configurations so a slow spell
+	// on the machine hits all of them alike, and the fastest run is
+	// kept: the standard noise-robust estimator for fixed work.
+	const reps = 5
+	type recording struct {
+		trace   *pt.Trace
+		failure *vm.Failure
+	}
+	recs := make([]recording, len(modules))
 	for i, m := range modules {
 		trace, failRes, err := record(m, a.Failing(), a.Seed)
 		if err != nil {
 			return nil, err
 		}
-		// Solver timeout disabled (§5.2): every configuration
-		// executes the same instructions to completion. The work per
-		// configuration is deterministic but the later generations
-		// finish in single-digit milliseconds, where one scheduling
-		// hiccup dwarfs the real difference — so measure each
-		// configuration a few times and keep the fastest run, the
-		// standard noise-robust estimator for fixed work.
-		var best *symex.Result
-		for rep := 0; rep < 3; rep++ {
-			eng := symex.New(m, trace, failRes.Failure, symex.Options{ProgressEvery: 64})
+		recs[i] = recording{trace, failRes.Failure}
+	}
+	best := make([]*symex.Result, len(modules))
+	for rep := 0; rep < reps; rep++ {
+		for i, m := range modules {
+			runtime.GC()
+			eng := symex.New(m, recs[i].trace, recs[i].failure, symex.Options{ProgressEvery: 64})
 			sres := eng.Run("main")
 			if sres.Status != symex.StatusCompleted {
 				return nil, fmt.Errorf("bench: fig5 generation %d: %v (%v)", i, sres.Status, sres.Err)
 			}
-			if best == nil || sres.Stats.Elapsed < best.Stats.Elapsed {
-				best = sres
+			if best[i] == nil || sres.Stats.Elapsed < best[i].Stats.Elapsed {
+				best[i] = sres
 			}
 		}
+	}
+	res := &Fig5Result{App: a.Name}
+	for i, b := range best {
 		res.Series = append(res.Series, Fig5Series{
 			Label:  labels[i],
-			Points: best.Progress,
-			Total:  best.Stats.Elapsed,
-			Instrs: best.Stats.Instrs,
+			Points: b.Progress,
+			Total:  b.Stats.Elapsed,
+			Instrs: b.Stats.Instrs,
 		})
 	}
 	return res, nil

@@ -7,6 +7,7 @@ import (
 	"io"
 	"math/rand"
 	"net/http"
+	"net/http/httptest"
 	"path/filepath"
 	"strconv"
 	"strings"
@@ -654,6 +655,90 @@ func TestClusterProtocolVersionMismatch(t *testing.T) {
 	if resp2.StatusCode != http.StatusBadRequest {
 		t.Errorf("malformed JSON: HTTP %d, want 400", resp2.StatusCode)
 	}
+}
+
+// TestSubmitRejectsOversizeBody: a /v1/submit body larger than one
+// base64-encoded trace ring plus envelope is refused with 413 before
+// ingest sees it, so no ring is allocated and no bucket can form. The
+// body is produced lazily; the declared length alone trips the cap.
+func TestSubmitRejectsOversizeBody(t *testing.T) {
+	apps := testApps(t)[:1]
+	dir := t.TempDir()
+	store, err := tracestore.Open(filepath.Join(dir, "store"), tracestore.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer store.Close()
+	coord, err := NewCoordinator(apps, CoordinatorOptions{
+		Fleet:   fleet.Options{MachinesPerApp: 1, Timeout: 60 * time.Second},
+		Store:   store,
+		WALPath: filepath.Join(dir, "lease.wal"),
+	})
+	if err != nil {
+		t.Fatalf("NewCoordinator: %v", err)
+	}
+	defer coord.Close()
+	// Serve only the wire protocol: the fleet is never started, so no
+	// production machine can create buckets behind the test's back.
+	mux := http.NewServeMux()
+	coord.mount(mux)
+	srv := httptest.NewServer(mux)
+	defer srv.Close()
+
+	// A well-formed submit whose raw trace is just over the cap: without
+	// the bound it would decode and be ingested.
+	prefix := fmt.Sprintf(`{"v":%d,"app":%q,"failure":{"Kind":1},"raw":"`, ProtocolVersion, apps[0].Name)
+	const suffix = `"}`
+	raw := (int64(maxRequestBytes) - int64(len(prefix)+len(suffix)) + 4) / 4 * 4 // whole base64 quanta
+	size := int64(len(prefix)) + raw + int64(len(suffix))
+	body := io.MultiReader(strings.NewReader(prefix),
+		io.LimitReader(repeatReader('A'), raw), strings.NewReader(suffix))
+	req, err := http.NewRequest(http.MethodPost, srv.URL+PathSubmit, body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	req.ContentLength = size
+	resp, err := http.DefaultClient.Do(req)
+	if err == nil {
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusRequestEntityTooLarge {
+			t.Errorf("oversize submit: HTTP %d, want 413", resp.StatusCode)
+		}
+	}
+	// (A client may instead see its upload cut off once the server has
+	// answered and closed; either way nothing may have been ingested.)
+	if n := coord.submits.Load(); n != 0 {
+		t.Errorf("oversize submit counted: submits=%d", n)
+	}
+	if snap := coord.fleet.Snapshot(); snap.Accepted != 0 || len(snap.Buckets) != 0 {
+		t.Errorf("oversize submit reached ingest: accepted=%d buckets=%d", snap.Accepted, len(snap.Buckets))
+	}
+
+	// A normal-sized submit on the same endpoint is accepted.
+	small, _ := json.Marshal(&SubmitRequest{V: ProtocolVersion, App: apps[0].Name,
+		Failure: &vm.Failure{Kind: vm.FailAssert}, Raw: []byte{1, 2, 3}})
+	resp, err = http.Post(srv.URL+PathSubmit, "application/json", bytes.NewReader(small))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var sr SubmitResponse
+	if err := json.NewDecoder(resp.Body).Decode(&sr); err != nil {
+		t.Fatal(err)
+	}
+	if !sr.OK || !sr.Accepted || coord.submits.Load() != 1 {
+		t.Errorf("small submit: %+v (submits=%d)", sr, coord.submits.Load())
+	}
+}
+
+// repeatReader yields an endless stream of one byte.
+type repeatReader byte
+
+func (r repeatReader) Read(p []byte) (int, error) {
+	for i := range p {
+		p[i] = byte(r)
+	}
+	return len(p), nil
 }
 
 // TestClusterValidation covers the assembly-time input checks.

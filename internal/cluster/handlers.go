@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
 	"net/http"
 	"time"
@@ -14,6 +15,12 @@ import (
 // maxPollWait bounds every long-poll (lease and fetch) so a dead
 // client can never pin a handler past the endpoint's drain window.
 const maxPollWait = 2 * time.Second
+
+// maxRequestBytes bounds every /v1/* request body. The largest
+// legitimate request is a submit carrying one full trace ring, which
+// encoding/json ships base64-encoded; 1 MiB covers the rest of the
+// envelope (failure signature, identifiers) with room to spare.
+const maxRequestBytes = (pt.DefaultRingSize+2)/3*4 + 1<<20
 
 // mount attaches the wire protocol to the coordinator's telemetry
 // mux (telemetry.ServerOptions.Extend).
@@ -41,9 +48,22 @@ func rejection(format string, args ...interface{}) Status {
 }
 
 // decodeReq parses the body and enforces the protocol version; a
-// false return means the rejection was already written.
+// false return means the rejection was already written. Bodies over
+// maxRequestBytes are refused with 413 before any handler state is
+// touched: up front when the declared length is too large, and as
+// soon as the read crosses the cap otherwise.
 func decodeReq(w http.ResponseWriter, r *http.Request, v interface{}, ver func() int) bool {
-	if err := json.NewDecoder(r.Body).Decode(v); err != nil {
+	if r.ContentLength > maxRequestBytes {
+		http.Error(w, "cluster: request body too large", http.StatusRequestEntityTooLarge)
+		return false
+	}
+	body := http.MaxBytesReader(w, r.Body, maxRequestBytes)
+	if err := json.NewDecoder(body).Decode(v); err != nil {
+		var tooBig *http.MaxBytesError
+		if errors.As(err, &tooBig) {
+			http.Error(w, "cluster: request body too large", http.StatusRequestEntityTooLarge)
+			return false
+		}
 		http.Error(w, fmt.Sprintf("cluster: bad request: %v", err), http.StatusBadRequest)
 		return false
 	}

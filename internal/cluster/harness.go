@@ -42,9 +42,7 @@ type HarnessOptions struct {
 	Pace           time.Duration
 	Timeout        time.Duration
 	// Node solver tuning.
-	SolverSessions   bool
 	PortfolioWorkers int
-	Speculate        bool
 	// Telemetry, when set, receives the er_fleet_*/er_cluster_*
 	// series.
 	Telemetry *telemetry.Registry
@@ -137,9 +135,7 @@ func RunHarness(opts HarnessOptions) (*HarnessResult, error) {
 			Coordinator:      coord.URL(),
 			Apps:             opts.Apps,
 			Workers:          opts.WorkersPerNode,
-			SolverSessions:   opts.SolverSessions,
 			PortfolioWorkers: opts.PortfolioWorkers,
-			Speculate:        opts.Speculate,
 			Tracer:           tracer,
 			Log:              opts.Log,
 		})

@@ -32,14 +32,10 @@ type NodeOptions struct {
 	// MaxIterations bounds each pipeline's reoccurrence loop
 	// (default 16).
 	MaxIterations int
-	// SolverSessions enables a persistent incremental solver session
-	// per leased bucket; Speculate additionally pre-solves predicted
-	// queries while waiting for the next banked occurrence.
-	SolverSessions        bool
-	SolverMaxSessionNodes int
-	PortfolioWorkers      int
-	PortfolioCubeVars     int
-	Speculate             bool
+	// PortfolioWorkers/PortfolioCubeVars race each pipeline's solver
+	// queries (see core.Config).
+	PortfolioWorkers  int
+	PortfolioCubeVars int
 	// Tracer records each leased bucket's replay as a span tree rooted
 	// under the coordinator's bucket span (the lease grant carries the
 	// parent context); snapshots ship back on heartbeats and with the
@@ -219,18 +215,15 @@ func (n *Node) runLease(l *LeaseResponse) {
 	shipSnap()
 
 	p, err := core.NewPipeline(core.Config{
-		Module:                app.Module,
-		Entry:                 app.Entry,
-		Symex:                 app.Symex,
-		MaxIterations:         n.opts.MaxIterations,
-		IncrementalSolver:     n.opts.SolverSessions,
-		SolverMaxSessionNodes: n.opts.SolverMaxSessionNodes,
-		PortfolioWorkers:      n.opts.PortfolioWorkers,
-		PortfolioCubeVars:     n.opts.PortfolioCubeVars,
-		Speculate:             n.opts.Speculate,
-		Tracer:                n.opts.Tracer,
-		ParentSpan:            replay,
-		Log:                   n.opts.Log,
+		Module:            app.Module,
+		Entry:             app.Entry,
+		Symex:             app.Symex,
+		MaxIterations:     n.opts.MaxIterations,
+		PortfolioWorkers:  n.opts.PortfolioWorkers,
+		PortfolioCubeVars: n.opts.PortfolioCubeVars,
+		Tracer:            n.opts.Tracer,
+		ParentSpan:        replay,
+		Log:               n.opts.Log,
 	})
 	if err != nil {
 		// A broken pipeline config is permanent for this node-app
@@ -302,9 +295,7 @@ func (n *Node) runLease(l *LeaseResponse) {
 		}
 		if !fr.Found {
 			// Nothing banked for this version yet: production is still
-			// re-hitting the failure. Overlap the wait with a
-			// speculative pre-solve (no-op unless configured).
-			p.Speculate()
+			// re-hitting the failure.
 			continue
 		}
 		after = fr.Seq + 1

@@ -20,6 +20,7 @@ import (
 
 	"execrecon/internal/invariants"
 	"execrecon/internal/ir"
+	"execrecon/internal/solver"
 	"execrecon/internal/symex"
 	"execrecon/internal/telemetry"
 	"execrecon/internal/vm"
@@ -83,23 +84,10 @@ type Config struct {
 	RandomSelection bool
 	// RandomSeed seeds the random-selection baseline.
 	RandomSeed int64
-	// IncrementalSolver shares one persistent solver session across
-	// the pipeline's iterations: Tseitin definitions, Ackermann
-	// lemmas, and CDCL learned clauses survive from one reoccurrence
-	// to the next, so iteration N+1 re-pays only for constraints it
-	// has not seen before. Off by default (fresh solver per query,
-	// the original behaviour). Overridden by Symex.Solver when the
-	// caller injects its own session.
-	IncrementalSolver bool
-	// SolverMaxSessionNodes bounds the incremental session's interned
-	// expression nodes before its caches reset (0 = solver default);
-	// only meaningful with IncrementalSolver.
-	SolverMaxSessionNodes int
 	// PortfolioWorkers, when > 1, races each solver query's CDCL
 	// descent across that many workers — the deterministic base search
-	// plus seeded clones exchanging learnt clauses — with the first
-	// definitive verdict winning and cancelling the rest. Applied to
-	// the incremental session and to fresh per-query solvers alike.
+	// plus seeded replicas exchanging learnt clauses — with the first
+	// definitive verdict winning and cancelling the rest.
 	// Verdict-preserving: racing changes latency, never outcomes.
 	PortfolioWorkers int
 	// PortfolioCubeVars additionally splits grown queries into 2^n
@@ -107,22 +95,12 @@ type Config struct {
 	// conquer); 0 disables splitting. Only meaningful with
 	// PortfolioWorkers > 1.
 	PortfolioCubeVars int
-	// Speculate enables speculative pre-solve: while the pipeline sits
-	// in the reoccurrence wait, the predicted next-iteration constraint
-	// set (the last stall's path constraint) is solved into the
-	// persistent session on a side goroutine, warming its caches and
-	// learnt clauses for the query the next trace will actually issue.
-	// Mispredictions are discarded at no correctness cost — the
-	// session's assumption-based queries leave nothing to retract.
-	// Requires IncrementalSolver.
-	Speculate bool
 	// Telemetry, when set, is the shared metrics registry the
 	// pipeline reports into: per-stage latency histograms
 	// (er_core_stage_seconds{stage=...}) and iteration/outcome
-	// counters, plus the symbolic executor's and incremental solver
-	// session's own er_symex_*/er_solver_* series (threaded through
-	// automatically unless the caller injected its own Symex options).
-	// Nil disables collection entirely.
+	// counters, plus the symbolic executor's own er_symex_* series
+	// (threaded through automatically unless the caller set
+	// Symex.Metrics). Nil disables collection entirely.
 	Telemetry *telemetry.Registry
 	// Tracer, when set, records the whole reconstruction as one
 	// nested span tree: a root "reconstruction" span with one
@@ -139,11 +117,10 @@ type Config struct {
 	// to publish the tree).
 	ParentSpan *telemetry.Span
 	// Absint enables the abstract-interpretation layer
-	// (internal/absint) across the loop: every solver query — fresh or
-	// incremental-session — first runs the interval + known-bits
-	// pre-discharge pass, undecided one-shot queries blast with
-	// refined bits pinned, and a verified reproduction additionally
-	// mines static invariant candidates that are confirmed
+	// (internal/absint) across the loop: every solver query first runs
+	// the interval + known-bits pre-discharge pass, undecided queries
+	// blast with refined bits pinned, and a verified reproduction
+	// additionally mines static invariant candidates that are confirmed
 	// MIMIC-style against the reproduced input's concrete run before
 	// being reported. Verdict-preserving throughout.
 	Absint bool
@@ -201,21 +178,11 @@ type Report struct {
 	// TotalSymexTime sums shepherded symbolic execution time across
 	// iterations ("Symbex Time" of Table 1).
 	TotalSymexTime time.Duration
-	// TotalSolverTime sums solver query wall time across iterations —
-	// the headline metric of the solvecache experiment.
+	// TotalSolverTime sums solver query wall time across iterations.
 	TotalSolverTime time.Duration
 	// TraceInstrs is the dynamic instruction count of the failing
 	// execution ("#Instr" of Table 1).
 	TraceInstrs int64
-	// Speculations counts speculative pre-solves launched during
-	// reoccurrence waits (Config.Speculate); SpecHits the ones whose
-	// warmed session state fed the next iteration's fast path, SpecMisses
-	// the ones that completed but did not help, SpecDiscards the ones
-	// cancelled before finishing.
-	Speculations int
-	SpecHits     int
-	SpecMisses   int
-	SpecDiscards int
 	// TotalSATVars/TotalSATClauses accumulate the CNF volume blasted
 	// across all solver queries; AbsintDischarged counts queries the
 	// abstract pre-discharge pass decided and AbsintBits the variable
@@ -224,6 +191,9 @@ type Report struct {
 	TotalSATClauses  int64
 	AbsintDischarged int64
 	AbsintBits       int64
+	// Portfolio accumulates the solver-racing counters across
+	// iterations (zero unless PortfolioWorkers > 1).
+	Portfolio solver.PortfolioStats
 	// AbsintMined counts static invariant candidates proposed by the
 	// abstract interpreter after a verified reproduction;
 	// AbsintInvariants holds the subset that survived MIMIC-style
@@ -257,11 +227,8 @@ func Reproduce(cfg Config) (*Report, error) {
 	waitHist := StageHistogram(cfg.Telemetry, "wait")
 	for !p.Done() {
 		// The reoccurrence wait is driver time, not pipeline time, so
-		// Reproduce owns the span and the stage sample. The wait is also
-		// where speculative pre-solve overlaps solver work with
-		// production's reoccurrence latency (no-op unless configured).
+		// Reproduce owns the span and the stage sample.
 		wSpan := p.Span().Child("reoccurrence-wait")
-		p.Speculate()
 		waitStart := time.Now()
 		occ, err := src.Next(p.Request())
 		waitHist.Observe(time.Since(waitStart).Seconds())

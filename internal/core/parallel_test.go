@@ -10,68 +10,33 @@ import (
 )
 
 // TestReproducePortfolioParity runs the stall-then-iterate scenario
-// with and without portfolio racing, with and without the incremental
-// session: the reconstruction outcome must be identical — racing
-// changes latency, never verdicts.
+// with and without portfolio racing: the reconstruction outcome must be
+// identical — racing changes latency, never verdicts — and the racing
+// run's counters must reach the report. Each run solves every query
+// fresh, with no state carried between queries.
 func TestReproducePortfolioParity(t *testing.T) {
-	for _, tc := range []struct {
-		name        string
-		incremental bool
-	}{
-		{"fresh", false},
-		{"incremental", true},
-	} {
-		t.Run(tc.name, func(t *testing.T) {
-			for _, workers := range []int{0, 4} {
-				mod := compile(t, chainSrc)
-				rep, err := core.Reproduce(core.Config{
-					Module:            mod,
-					Gen:               &core.FixedWorkload{Workload: chainWorkload(), Seed: 1},
-					Symex:             symex.Options{QueryBudget: 30_000},
-					IncrementalSolver: tc.incremental,
-					PortfolioWorkers:  workers,
-					PortfolioCubeVars: 2,
-				})
-				if err != nil {
-					t.Fatalf("workers=%d: reproduce: %v", workers, err)
-				}
-				if !rep.Reproduced || !rep.Verified {
-					t.Fatalf("workers=%d: reproduced=%v verified=%v reason=%s",
-						workers, rep.Reproduced, rep.Verified, rep.FailReason)
-				}
+	t.Run("fresh", func(t *testing.T) {
+		for _, workers := range []int{0, 4} {
+			mod := compile(t, chainSrc)
+			rep, err := core.Reproduce(core.Config{
+				Module:            mod,
+				Gen:               &core.FixedWorkload{Workload: chainWorkload(), Seed: 1},
+				Symex:             symex.Options{QueryBudget: 30_000},
+				PortfolioWorkers:  workers,
+				PortfolioCubeVars: 2,
+			})
+			if err != nil {
+				t.Fatalf("workers=%d: reproduce: %v", workers, err)
 			}
-		})
-	}
-}
-
-// TestReproduceSpeculation checks the speculative pre-solve plumbing:
-// after the first stall every reoccurrence wait launches a speculation,
-// each is settled exactly once (hit, miss, or discard), and the
-// reconstruction still completes and verifies.
-func TestReproduceSpeculation(t *testing.T) {
-	mod := compile(t, chainSrc)
-	rep, err := core.Reproduce(core.Config{
-		Module:            mod,
-		Gen:               &core.FixedWorkload{Workload: chainWorkload(), Seed: 1},
-		Symex:             symex.Options{QueryBudget: 30_000},
-		IncrementalSolver: true,
-		Speculate:         true,
+			if !rep.Reproduced || !rep.Verified {
+				t.Fatalf("workers=%d: reproduced=%v verified=%v reason=%s",
+					workers, rep.Reproduced, rep.Verified, rep.FailReason)
+			}
+			if raced := rep.Portfolio.Races > 0; raced != (workers > 1) {
+				t.Errorf("workers=%d: report counts %d races", workers, rep.Portfolio.Races)
+			}
+		}
 	})
-	if err != nil {
-		t.Fatalf("reproduce: %v", err)
-	}
-	if !rep.Reproduced || !rep.Verified {
-		t.Fatalf("reproduced=%v verified=%v reason=%s", rep.Reproduced, rep.Verified, rep.FailReason)
-	}
-	if rep.Speculations == 0 {
-		t.Fatal("no speculation launched despite a stall iteration")
-	}
-	if got := rep.SpecHits + rep.SpecMisses + rep.SpecDiscards; got != rep.Speculations {
-		t.Errorf("speculation accounting: %d launched, %d settled (hits %d, misses %d, discards %d)",
-			rep.Speculations, got, rep.SpecHits, rep.SpecMisses, rep.SpecDiscards)
-	}
-	t.Logf("speculations: %d (hits %d, misses %d, discards %d)",
-		rep.Speculations, rep.SpecHits, rep.SpecMisses, rep.SpecDiscards)
 }
 
 // TestPipelineAbortCancelsInFlightSolve pins the prompt-abort fix:

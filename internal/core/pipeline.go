@@ -14,7 +14,6 @@ import (
 
 	"execrecon/internal/absint"
 	"execrecon/internal/dataflow"
-	"execrecon/internal/expr"
 	"execrecon/internal/invariants"
 	"execrecon/internal/ir"
 	"execrecon/internal/keyselect"
@@ -34,12 +33,6 @@ type Pipeline struct {
 	deployed *ir.Module
 	version  int // increments on each re-instrumentation
 	rep      *Report
-	// session is the persistent incremental solver shared by every
-	// iteration's symbolic execution (nil unless
-	// Config.IncrementalSolver is set). Constraint sets differ across
-	// iterations — the session's assumption-based queries make that
-	// sound without any invalidation bookkeeping.
-	session *solver.Incremental
 	// an is the static dataflow analysis of the deployed module,
 	// recomputed on every re-instrumentation (nil unless
 	// Config.StaticSlice is set).
@@ -50,30 +43,16 @@ type Pipeline struct {
 	tel  *pipelineTelemetry
 	root *telemetry.Span
 	// stop is the pipeline-wide cancellation flag: Abort trips it, and
-	// every solver query the pipeline issues — in-flight or speculative
-	// — observes it on its next budget spend, not just at the deadline
-	// cadence.
-	stop *solver.Cancel
-	// Speculative pre-solve state (Config.Speculate): specPC is the
-	// predicted next-iteration constraint set (the last stall's path
-	// constraint); specStop/specDone track the in-flight speculation
-	// goroutine, which is the only thing besides the driver ever
-	// touching the session — and never concurrently, because every
-	// session use joins it first via stopSpeculation. specFinished is
-	// written by the goroutine before specDone closes.
-	specPC       []*expr.Expr
-	specStop     *solver.Cancel
-	specDone     chan struct{}
-	specSpan     *telemetry.Span
-	specStart    time.Time
-	specFinished bool
-	signature    *vm.Failure
-	seed         int64 // verification seed (from the first occurrence)
-	haveSeed     bool
-	deferLeft    int
-	iters        int
-	done         bool
-	err          error
+	// every solver query the pipeline issues observes it on its next
+	// budget spend, not just at the deadline cadence.
+	stop      *solver.Cancel
+	signature *vm.Failure
+	seed      int64 // verification seed (from the first occurrence)
+	haveSeed  bool
+	deferLeft int
+	iters     int
+	done      bool
+	err       error
 }
 
 // NewPipeline validates the configuration and returns a pipeline
@@ -118,22 +97,6 @@ func NewPipeline(cfg Config) (*Pipeline, error) {
 	if cfg.StaticSlice {
 		p.an = dataflow.Analyze(cfg.Module)
 	}
-	if cfg.IncrementalSolver && cfg.Symex.Solver == nil {
-		// Validate is off to match the engine's fresh-per-query solver
-		// configuration (symex also disables it); the session's
-		// self-checking mode stays available to callers that inject
-		// their own session and is exercised by the differential tests.
-		p.session = solver.NewIncremental(solver.Options{
-			MaxSteps:        cfg.Symex.QueryBudget,
-			Timeout:         cfg.Symex.QueryTimeout,
-			Validate:        false,
-			MaxSessionNodes: cfg.SolverMaxSessionNodes,
-			Metrics:         cfg.Telemetry,
-			Stop:            p.stop,
-			Portfolio:       cfg.portfolio(),
-			Absint:          cfg.Absint,
-		})
-	}
 	return p, nil
 }
 
@@ -163,15 +126,6 @@ func (c *Config) portfolio() solver.PortfolioOptions {
 		Workers:  c.PortfolioWorkers,
 		CubeVars: c.PortfolioCubeVars,
 	}
-}
-
-// SolverStats returns the persistent solver session's cumulative
-// statistics (zero value when the pipeline runs without one).
-func (p *Pipeline) SolverStats() solver.IncStats {
-	if p.session == nil {
-		return solver.IncStats{}
-	}
-	return p.session.Stats()
 }
 
 // Deployed returns the module production must currently run — the
@@ -233,12 +187,6 @@ func (p *Pipeline) Feed(occ *Occurrence) (bool, error) {
 	if p.done {
 		return true, p.err
 	}
-	// Settle any speculative pre-solve first: even occurrences that turn
-	// out benign or foreign leave drivers free to read solver stats
-	// right after Feed returns, which is only safe with the speculation
-	// goroutine joined. A completed speculation's outcome is consumed by
-	// the next analyzed occurrence below.
-	p.stopSpeculation()
 	if occ == nil || occ.Result == nil || occ.Result.Failure == nil {
 		return false, nil // benign run; nothing to do
 	}
@@ -257,12 +205,10 @@ func (p *Pipeline) Feed(occ *Occurrence) (bool, error) {
 	}
 	p.rep.Occurrences++
 	p.tel.occurrences().Inc()
-	// Every path that terminates the session below must settle any
-	// in-flight speculation and close the root span so the tree
-	// publishes to the tracer ring.
+	// Every path that terminates the session below must close the root
+	// span so the tree publishes to the tracer ring.
 	defer func() {
 		if p.done {
-			p.stopSpeculation()
 			p.endRoot()
 		}
 	}()
@@ -284,23 +230,8 @@ func (p *Pipeline) Feed(occ *Occurrence) (bool, error) {
 		telemetry.A("version", p.version))
 	defer itSpan.End()
 
-	// Whether a completed speculation predicted this iteration's query
-	// is judged by the session's fast-path counter: a hit means the
-	// warmed trail answered (part of) the real query without search.
-	speculated := p.specFinished
-	p.specFinished = false
-	var specFastSats int64
-	if speculated {
-		specFastSats = p.session.Stats().FastSats
-	}
-
-	// Offline phase: shepherded symbolic execution. With a persistent
-	// session the engine's queries reuse all Tseitin/Ackermann/learned
-	// work from earlier iterations.
+	// Offline phase: shepherded symbolic execution.
 	sxOpts := p.cfg.Symex
-	if sxOpts.Solver == nil && p.session != nil {
-		sxOpts.Solver = p.session
-	}
 	if sxOpts.Stop == nil {
 		sxOpts.Stop = p.stop
 	}
@@ -348,6 +279,7 @@ func (p *Pipeline) Feed(occ *Occurrence) (bool, error) {
 	p.rep.TotalSATClauses += sres.Stats.SATClauses
 	p.rep.AbsintDischarged += sres.Stats.AbsintDischarged
 	p.rep.AbsintBits += sres.Stats.AbsintBits
+	p.rep.Portfolio.Merge(sres.Stats.Portfolio)
 	shSpan.SetAttr("status", sres.Status.String())
 	shSpan.SetAttr("trace_events", it.TraceEvents)
 	shSpan.SetAttr("instrs", sres.Stats.Instrs)
@@ -367,18 +299,6 @@ func (p *Pipeline) Feed(occ *Occurrence) (bool, error) {
 	shSpan.End()
 	p.tel.shepherd().Observe(sres.Stats.Elapsed.Seconds())
 	p.tel.solve().Observe(sres.Stats.SolverTime.Seconds())
-	if speculated {
-		if p.session.Stats().FastSats > specFastSats {
-			p.rep.SpecHits++
-			p.tel.specHits().Inc()
-			itSpan.SetAttr("speculation", "hit")
-		} else {
-			p.rep.SpecMisses++
-			p.tel.specMisses().Inc()
-			itSpan.SetAttr("speculation", "miss")
-		}
-	}
-
 	switch sres.Status {
 	case symex.StatusCompleted:
 		p.rep.Iterations = append(p.rep.Iterations, it)
@@ -408,11 +328,6 @@ func (p *Pipeline) Feed(occ *Occurrence) (bool, error) {
 		p.cfg.logf("iteration %d: stalled (%s); selecting key data values", p.iters+1, sres.StallReason)
 		p.tel.iterations().Inc()
 		p.tel.stalls().Inc()
-		// The stall's path constraint is the best prediction of the next
-		// iteration's query — the re-instrumented run retreads the same
-		// path with a few symbolic terms concretized — so it becomes the
-		// speculation target for the coming reoccurrence wait.
-		p.specPC = sres.PathConstraint
 		var sites []symex.SiteKey
 		var cost int64
 		var err error
@@ -479,69 +394,4 @@ func (p *Pipeline) Feed(occ *Occurrence) (bool, error) {
 		p.tel.failed().Inc()
 		return true, p.err
 	}
-}
-
-// Speculate starts a speculative pre-solve of the predicted
-// next-iteration constraint set — the last stall's path constraint —
-// on a side goroutine, so solver work overlaps the reoccurrence wait
-// instead of serializing behind it. The speculation solves into the
-// persistent session, warming its import memo, cached CNF, learnt
-// clauses, and (on sat) the held model trail the fast path extends;
-// when the predicted set matches the next query's shared prefix the
-// real solve starts from all of that for free. Drivers call it when
-// they are about to block waiting for the next occurrence (Reproduce
-// does; the fleet scheduler does when a bucket's queue runs dry).
-//
-// Returns true when a speculation was launched. No-op unless
-// Config.Speculate and Config.IncrementalSolver are both set, a stall
-// has produced a prediction, and no speculation is already in flight.
-// A misprediction costs nothing but the side goroutine's time: the
-// session's assumption-based queries leave no state to retract, and
-// Feed cancels and joins the goroutine before the session is touched
-// again.
-func (p *Pipeline) Speculate() bool {
-	if p.done || !p.cfg.Speculate || p.session == nil || len(p.specPC) == 0 || p.specDone != nil {
-		return false
-	}
-	pc := p.specPC
-	p.specPC = nil // one prediction, one speculation
-	p.specStop = solver.NewCancel(p.stop)
-	p.specDone = make(chan struct{})
-	p.specStart = time.Now()
-	p.specFinished = false
-	p.specSpan = p.root.Child("speculate", telemetry.A("constraints", len(pc)))
-	p.rep.Speculations++
-	p.tel.speculations().Inc()
-	session, stop, done := p.session, p.specStop, p.specDone
-	go func() {
-		defer close(done)
-		_, _, _ = session.SolveStop(pc, stop)
-		// Cancelled solves were discarded, not completed; the write is
-		// published to the driver by the channel close.
-		p.specFinished = !stop.Canceled()
-	}()
-	return true
-}
-
-// stopSpeculation cancels and joins the in-flight speculative
-// pre-solve, if any. The session is single-goroutine, so every path
-// that touches it — each Feed analysis and each terminal path — must
-// pass through here first; the join is prompt because the cancellation
-// flag is observed on every budget spend. Completed-vs-discarded is
-// settled here; whether a completed speculation actually predicted the
-// next query is judged in Feed via the session's fast-path counter.
-func (p *Pipeline) stopSpeculation() {
-	if p.specDone == nil {
-		return
-	}
-	p.specStop.Cancel()
-	<-p.specDone
-	if !p.specFinished {
-		p.rep.SpecDiscards++
-		p.tel.specDiscards().Inc()
-	}
-	p.tel.speculate().Observe(time.Since(p.specStart).Seconds())
-	p.specSpan.SetAttr("completed", p.specFinished)
-	p.specSpan.End()
-	p.specStop, p.specDone, p.specSpan = nil, nil, nil
 }

@@ -11,9 +11,8 @@ import (
 
 // TestPortfolioCorpusDifferential is the randomized differential gate
 // for the racing layer: a generated population spanning every bug
-// pattern is reconstructed twice — sequential session vs portfolio
-// session (racing seeds, cubes, speculation) — under each scenario's
-// stall-tuned budget, and racing must never lose a reproduction the
+// pattern is reconstructed twice — sequential vs portfolio solving
+// (racing seeds and cubes) — under each scenario's stall-tuned budget, and racing must never lose a reproduction the
 // sequential configuration achieves. The gate is one-directional: any
 // satisfying model a racing worker returns is a legitimate input, so
 // the shepherded trajectory it induces can differ from the sequential
@@ -34,7 +33,7 @@ func TestPortfolioCorpusDifferential(t *testing.T) {
 	// (e.g. a scenario whose shepherded execution diverges) are an
 	// outcome, not a test failure: the differential compares them
 	// across configurations like any other verdict.
-	run := func(t *testing.T, sc *corpus.Scenario, workers int) (*core.Report, solver.IncStats) {
+	run := func(t *testing.T, sc *corpus.Scenario, workers int) *core.Report {
 		t.Helper()
 		mod, err := sc.Module()
 		if err != nil {
@@ -44,17 +43,14 @@ func TestPortfolioCorpusDifferential(t *testing.T) {
 		p, err := core.NewPipeline(core.Config{
 			Module:            mod,
 			Symex:             symex.Options{QueryBudget: sc.QueryBudget, MaxInstrs: 50_000_000},
-			IncrementalSolver: true,
 			PortfolioWorkers:  workers,
 			PortfolioCubeVars: min(workers, 2),
-			Speculate:         workers > 1,
 		})
 		if err != nil {
 			t.Fatalf("pipeline: %v", err)
 		}
 		src := &core.GenSource{Gen: &core.FixedWorkload{Workload: app.Failing(), Seed: app.Seed}}
 		for !p.Done() {
-			p.Speculate()
 			occ, err := src.Next(p.Request())
 			if err != nil {
 				t.Fatalf("workers=%d: source: %v", workers, err)
@@ -63,14 +59,14 @@ func TestPortfolioCorpusDifferential(t *testing.T) {
 				break // terminal pipeline failure; report carries the reason
 			}
 		}
-		return p.Report(), p.SolverStats()
+		return p.Report()
 	}
 
 	var stats solver.PortfolioStats
 	for _, sc := range scs {
 		t.Run(sc.Name, func(t *testing.T) {
-			seq, _ := run(t, sc, 0)
-			port, pst := run(t, sc, 4)
+			seq := run(t, sc, 0)
+			port := run(t, sc, 4)
 			switch {
 			case (seq.Reproduced && !port.Reproduced) || (seq.Verified && !port.Verified):
 				t.Errorf("portfolio lost a sequential verdict: sequential reproduced=%v verified=%v, portfolio reproduced=%v verified=%v (%s / %s)",
@@ -80,11 +76,11 @@ func TestPortfolioCorpusDifferential(t *testing.T) {
 				t.Logf("portfolio rescue: sequential reproduced=%v verified=%v (%s), portfolio reproduced=%v verified=%v",
 					seq.Reproduced, seq.Verified, seq.FailReason, port.Reproduced, port.Verified)
 			}
-			if got := pst.Portfolio.BaseWins + pst.Portfolio.SeedWins +
-				pst.Portfolio.CubeWins + pst.Portfolio.Unknowns; got != pst.Portfolio.Races {
-				t.Errorf("race accounting: %d races, %d attributed", pst.Portfolio.Races, got)
+			pst := port.Portfolio
+			if got := pst.BaseWins + pst.SeedWins + pst.CubeWins + pst.Unknowns; got != pst.Races {
+				t.Errorf("race accounting: %d races, %d attributed", pst.Races, got)
 			}
-			stats.Merge(pst.Portfolio)
+			stats.Merge(pst)
 		})
 	}
 	if stats.Races == 0 {

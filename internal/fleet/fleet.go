@@ -84,17 +84,6 @@ type Options struct {
 	// Timeout bounds the whole fleet run (default 2 minutes;
 	// negative disables).
 	Timeout time.Duration
-	// SolverSessions enables a persistent incremental solver session
-	// per bucket pipeline: solver state (Tseitin definitions,
-	// Ackermann lemmas, CDCL learned clauses) is reused across a
-	// bucket's ER iterations and dropped when the bucket retires, so
-	// memory stays bounded by the number of in-flight buckets.
-	// Off by default (fresh solver per query).
-	SolverSessions bool
-	// SolverMaxSessionNodes bounds each session's interned expression
-	// nodes before it resets (0 = solver default); only meaningful
-	// with SolverSessions.
-	SolverMaxSessionNodes int
 	// PortfolioWorkers, when > 1, races each bucket pipeline's solver
 	// queries across that many seeded CDCL workers (first definitive
 	// verdict wins, the rest are cancelled). Verdict-preserving; an
@@ -104,11 +93,6 @@ type Options struct {
 	// cube workers (cube and conquer); only meaningful with
 	// PortfolioWorkers > 1.
 	PortfolioCubeVars int
-	// Speculate lets a bucket pipeline pre-solve its predicted
-	// next-iteration constraint set whenever its reoccurrence queue
-	// runs dry, overlapping solver work with the wait for production
-	// to re-hit the failure. Requires SolverSessions.
-	Speculate bool
 	// Absint enables the abstract-interpretation layer in every
 	// bucket pipeline: solver pre-discharge + narrowed blasting, and
 	// verified static invariant mining on reproduction. Registered
@@ -141,10 +125,9 @@ type Options struct {
 	// Telemetry, when set, is the shared metrics registry the whole
 	// subsystem reports into: fleet-level gauges/counters
 	// (er_fleet_*), each bucket pipeline's core stage histograms and
-	// outcome counters (er_core_*), the symbolic executor's and
-	// incremental solver sessions' series (er_symex_*/er_solver_*),
-	// and — when Store is set — the archive's er_tracestore_* series.
-	// Nil disables collection.
+	// outcome counters (er_core_*), the symbolic executor's series
+	// (er_symex_*), and — when Store is set — the archive's
+	// er_tracestore_* series. Nil disables collection.
 	Telemetry *telemetry.Registry
 	// Tracer, when set, records each bucket pipeline's reconstruction
 	// as a nested span tree; the fleet attaches its own
@@ -520,21 +503,18 @@ func (f *Fleet) runBucket(b *Bucket) {
 		return
 	}
 	p, err := core.NewPipeline(core.Config{
-		Module:                g.app.Module,
-		Entry:                 g.app.Entry,
-		Symex:                 g.app.Symex,
-		MaxIterations:         f.opts.MaxIterations,
-		RingSize:              f.opts.RingSize,
-		IncrementalSolver:     f.opts.SolverSessions,
-		SolverMaxSessionNodes: f.opts.SolverMaxSessionNodes,
-		PortfolioWorkers:      f.opts.PortfolioWorkers,
-		PortfolioCubeVars:     f.opts.PortfolioCubeVars,
-		Speculate:             f.opts.Speculate,
-		Absint:                f.opts.Absint,
-		AbsintWiden:           f.opts.AbsintWiden,
-		Telemetry:             f.opts.Telemetry,
-		Tracer:                f.opts.Tracer,
-		Log:                   f.opts.Log,
+		Module:            g.app.Module,
+		Entry:             g.app.Entry,
+		Symex:             g.app.Symex,
+		MaxIterations:     f.opts.MaxIterations,
+		RingSize:          f.opts.RingSize,
+		PortfolioWorkers:  f.opts.PortfolioWorkers,
+		PortfolioCubeVars: f.opts.PortfolioCubeVars,
+		Absint:            f.opts.Absint,
+		AbsintWiden:       f.opts.AbsintWiden,
+		Telemetry:         f.opts.Telemetry,
+		Tracer:            f.opts.Tracer,
+		Log:               f.opts.Log,
 	})
 	if err != nil {
 		f.logf("fleet: bucket %d (%s): %v", b.ID, b.App, err)
@@ -559,13 +539,6 @@ func (f *Fleet) runBucket(b *Bucket) {
 				continue
 			}
 			wSpan := p.Span().Child("reoccurrence-wait")
-			// About to block on production: let the pipeline pre-solve
-			// its predicted next query while we wait (no-op unless
-			// Options.Speculate). Feed settles the speculation before
-			// the session is touched again.
-			if p.Speculate() {
-				b.recordSpecStats(p)
-			}
 			waitStart := time.Now()
 			select {
 			case <-f.ctx.Done():
@@ -633,8 +606,7 @@ func (f *Fleet) feedOccurrence(b *Bucket, g *appGroup, p *core.Pipeline, occ *co
 		f.logf("fleet: bucket %d (%s): pipeline: %v", b.ID, b.App, err)
 	}
 	b.iterations.Store(int32(len(p.Report().Iterations)))
-	b.recordSolverStats(p)
-	b.recordSpecStats(p)
+	b.recordPortfolio(p)
 	if p.Version() != before && !p.Done() {
 		// Key data values selected: roll the instrumented
 		// module out to this app's machines.
@@ -741,6 +713,7 @@ func (f *Fleet) ResolveBucket(b *Bucket, rep *core.Report) bool {
 	}
 	b.report.Store(rep)
 	b.iterations.Store(int32(len(rep.Iterations)))
+	b.portfolio.Store(&rep.Portfolio)
 	if rep.Reproduced {
 		b.state.Store(int32(BucketReproduced))
 	} else {

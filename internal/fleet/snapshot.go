@@ -23,32 +23,13 @@ type Snapshot struct {
 	Accepted int64
 	// Machines aggregates the producer machines' counters.
 	Machines prod.MachineStats
-	// SolverSolves/SolverReused/SolverBlasted/SolverFallbacks/
-	// SolverResets aggregate the buckets' persistent-solver-session
-	// counters (all zero when Options.SolverSessions is off). Reused
-	// vs Blasted is the fleet-wide cache hit split: how many
-	// constraints were answered from session caches versus lowered
-	// from scratch.
-	SolverSolves    int64
-	SolverReused    int64
-	SolverBlasted   int64
-	SolverFallbacks int64
-	SolverResets    int64
-	// AbsintDischarged/AbsintLemmas/AbsintFacts aggregate the abstract
-	// pre-discharge pass across bucket sessions (zero unless
-	// Options.Absint); LintProofs is the error-level provable-lint
-	// finding count over the registered app modules.
-	AbsintDischarged int64
-	AbsintLemmas     int64
-	AbsintFacts      int64
-	LintProofs       int64
+	// LintProofs is the error-level provable-lint finding count over
+	// the registered app modules (zero unless Options.Absint).
+	LintProofs int64
 	// Portfolio aggregates the buckets' solver-racing counters (all
 	// zero unless Options.PortfolioWorkers > 1): races run, wins by
 	// worker kind, and learned-clause exchange traffic.
 	Portfolio solver.PortfolioStats
-	// Speculation aggregates the buckets' speculative pre-solve
-	// outcomes (all zero unless Options.Speculate).
-	Speculation SpecStats
 	// StoreEnabled reports whether the fleet runs with a persistent
 	// trace archive (Options.Store); Store is then its stats snapshot:
 	// live segments, raw vs stored bytes (the delta-compression win),
@@ -90,26 +71,13 @@ type BucketSnapshot struct {
 	Replayed int64
 	// Iterations is the pipeline's completed analysis iterations.
 	Iterations int
-	// Solver-session counters (zero unless the fleet runs with
-	// SolverSessions): queries answered, constraints reused from the
-	// session cache vs blasted fresh, validation fallbacks, resets.
-	SolverSolves    int64
-	SolverReused    int64
-	SolverBlasted   int64
-	SolverFallbacks int64
-	SolverResets    int64
-	// Absint counters mirror the session's abstract pre-discharge
-	// activity; AbsintMined/AbsintVerified the post-reproduction
-	// static invariant mining (zero unless Options.Absint).
-	AbsintDischarged int64
-	AbsintLemmas     int64
-	AbsintFacts      int64
-	AbsintMined      int
-	AbsintVerified   int
-	// Portfolio carries the session's racing counters; Speculation the
-	// pipeline's pre-solve outcomes. Zero without the matching options.
-	Portfolio   solver.PortfolioStats
-	Speculation SpecStats
+	// AbsintMined/AbsintVerified count the post-reproduction static
+	// invariant mining (zero unless Options.Absint).
+	AbsintMined    int
+	AbsintVerified int
+	// Portfolio carries the pipeline's solver-racing counters (zero
+	// unless Options.PortfolioWorkers > 1).
+	Portfolio solver.PortfolioStats
 	// Reproduced/Verified mirror the pipeline report once resolved.
 	Reproduced bool
 	Verified   bool
@@ -146,19 +114,7 @@ func (f *Fleet) Snapshot() Snapshot {
 		bs := f.snapshotBucket(b)
 		s.Spills += bs.Spills
 		s.Replayed += bs.Replayed
-		s.SolverSolves += bs.SolverSolves
-		s.SolverReused += bs.SolverReused
-		s.SolverBlasted += bs.SolverBlasted
-		s.SolverFallbacks += bs.SolverFallbacks
-		s.SolverResets += bs.SolverResets
-		s.AbsintDischarged += bs.AbsintDischarged
-		s.AbsintLemmas += bs.AbsintLemmas
-		s.AbsintFacts += bs.AbsintFacts
 		s.Portfolio.Merge(bs.Portfolio)
-		s.Speculation.Speculations += bs.Speculation.Speculations
-		s.Speculation.Hits += bs.Speculation.Hits
-		s.Speculation.Misses += bs.Speculation.Misses
-		s.Speculation.Discards += bs.Speculation.Discards
 		s.Buckets = append(s.Buckets, bs)
 	}
 	return s
@@ -179,18 +135,8 @@ func (f *Fleet) snapshotBucket(b *Bucket) BucketSnapshot {
 		Spills:       b.spills.Load(),
 		Replayed:     b.replayed.Load(),
 		Iterations:   int(b.iterations.Load()),
+		Portfolio:    b.loadPortfolio(),
 	}
-	st := b.loadSolverStats()
-	bs.SolverSolves = st.Solves
-	bs.SolverReused = st.ConstraintsReused
-	bs.SolverBlasted = st.ConstraintsBlasted
-	bs.SolverFallbacks = st.FreshFallbacks
-	bs.SolverResets = st.Resets
-	bs.AbsintDischarged = st.AbsintDischarged
-	bs.AbsintLemmas = st.AbsintLemmas
-	bs.AbsintFacts = st.AbsintFacts
-	bs.Portfolio = st.Portfolio
-	bs.Speculation = b.loadSpecStats()
 	if rep := b.report.Load(); rep != nil {
 		bs.Reproduced = rep.Reproduced
 		bs.Verified = rep.Verified

@@ -28,7 +28,6 @@ func TestFleetTelemetryEndpoint(t *testing.T) {
 		MachinesPerApp: 2,
 		Pace:           50 * time.Microsecond,
 		Timeout:        60 * time.Second,
-		SolverSessions: true,
 		Telemetry:      reg,
 		Tracer:         tr,
 		ListenAddr:     "127.0.0.1:0",
@@ -82,7 +81,7 @@ func TestFleetTelemetryEndpoint(t *testing.T) {
 		"er_core_stage_seconds",
 		"er_core_reproduced_total",
 		"er_symex_runs_total",
-		"er_solver_solves_total",
+		"er_symex_solver_queries_total",
 	} {
 		if !strings.Contains(body, name) {
 			t.Errorf("exposition missing %s", name)
@@ -152,19 +151,19 @@ func TestFleetDebugEndpointJSON(t *testing.T) {
 // TestSnapshotRaceDuringIngest is the silent-stats-loss regression:
 // hammer Snapshot (and the registry collection callbacks) from
 // several goroutines while the fleet ingests, triages, and runs
-// pipelines. Run with -race. It also checks solver-session counters
-// are internally consistent in every observed snapshot — the
-// field-per-atomic mirror this replaced could surface torn
-// combinations such as reused+blasted exceeding constraints seen.
+// pipelines. Run with -race. It also checks the per-bucket solver
+// racing counters are internally consistent in every observed
+// snapshot — a field-per-atomic mirror could surface torn combinations
+// such as more attributed race outcomes than races.
 func TestSnapshotRaceDuringIngest(t *testing.T) {
 	reg := telemetry.New()
 	f, err := New(testApps(t), Options{
-		Workers:        4,
-		MachinesPerApp: 3,
-		Pace:           50 * time.Microsecond,
-		Timeout:        60 * time.Second,
-		SolverSessions: true,
-		Telemetry:      reg,
+		Workers:          4,
+		MachinesPerApp:   3,
+		Pace:             50 * time.Microsecond,
+		Timeout:          60 * time.Second,
+		PortfolioWorkers: 4,
+		Telemetry:        reg,
 	})
 	if err != nil {
 		t.Fatalf("New: %v", err)
@@ -189,12 +188,13 @@ func TestSnapshotRaceDuringIngest(t *testing.T) {
 				}
 				s := f.Snapshot()
 				for _, b := range s.Buckets {
-					// Solves/reuse/blast are published together; any
-					// cross-field inconsistency means a torn read.
-					if b.SolverReused > 0 && b.SolverSolves == 0 {
+					// Races and their outcomes are published together;
+					// any cross-field inconsistency means a torn read.
+					p := b.Portfolio
+					if won := p.BaseWins + p.SeedWins + p.CubeWins + p.Unknowns; won != p.Races {
 						mu.Lock()
 						torn = append(torn, fmt.Sprintf(
-							"bucket %s: reused=%d with solves=0", b.App, b.SolverReused))
+							"bucket %s: %d races with %d outcomes", b.App, p.Races, won))
 						mu.Unlock()
 					}
 				}
@@ -212,7 +212,7 @@ func TestSnapshotRaceDuringIngest(t *testing.T) {
 		t.Fatalf("Wait: %v", err)
 	}
 	if len(torn) > 0 {
-		t.Errorf("torn solver-stat reads observed: %v", torn)
+		t.Errorf("torn portfolio-stat reads observed: %v", torn)
 	}
 	for _, b := range res.Buckets {
 		if !b.Reproduced {
@@ -280,7 +280,6 @@ func main() int {
 		MachinesPerApp: 1,
 		Pace:           50 * time.Microsecond,
 		Timeout:        60 * time.Second,
-		SolverSessions: true,
 		Absint:         true,
 		Telemetry:      reg,
 		ListenAddr:     "127.0.0.1:0",
@@ -320,9 +319,8 @@ func main() int {
 	body := sb.String()
 	for _, name := range []string{
 		"er_absint_lint_proofs_total",
-		"er_absint_discharged_total",
-		"er_absint_lemmas_total",
-		"er_absint_facts_total",
+		"er_absint_oneshot_discharged_total",
+		"er_absint_oneshot_bits_total",
 	} {
 		if !strings.Contains(body, name) {
 			t.Errorf("exposition missing %s", name)
@@ -332,11 +330,19 @@ func main() int {
 	if !strings.Contains(body, want) {
 		t.Errorf("lint proofs mismatch: want %q in\n%s", want, grepLines(body, "er_absint"))
 	}
-	// Session-side absint counters must agree between snapshot
-	// aggregation and the registry (both read the same IncStats).
-	if snap.AbsintDischarged > 0 {
-		if !strings.Contains(body, "er_absint_discharged_total") {
-			t.Errorf("discharged counter missing from exposition")
+	// The engines' absint counters must agree with the bucket reports,
+	// which sum the same per-run statistics.
+	var discharged, bits int64
+	for _, b := range res.Buckets {
+		discharged += b.Report.AbsintDischarged
+		bits += b.Report.AbsintBits
+	}
+	for name, want := range map[string]int64{
+		"er_absint_oneshot_discharged_total": discharged,
+		"er_absint_oneshot_bits_total":       bits,
+	} {
+		if line := fmt.Sprintf("%s %d", name, want); !strings.Contains(body, line) {
+			t.Errorf("report mismatch: want %q in\n%s", line, grepLines(body, name))
 		}
 	}
 	// The verified buckets of an absint fleet carry mined invariants.

@@ -80,18 +80,12 @@ type Bucket struct {
 	// mode, making resolution idempotent across lease re-dispatch and
 	// coordinator commit-log replay.
 	remoteResolved atomic.Bool
-	// solverStats is the pipeline's persistent-solver progress,
-	// mirrored after each fed occurrence (nil when the fleet runs with
-	// fresh-per-query solving). One pointer store publishes the whole
+	// portfolio mirrors the pipeline report's solver-racing counters
+	// after each fed occurrence. One pointer store publishes the whole
 	// struct, so a concurrent Snapshot always reads an internally
-	// consistent set of counters — the previous field-per-atomic
-	// mirror could be observed mid-update (e.g. reused > solves). The
-	// session itself lives on the pipeline and dies with it when the
-	// bucket retires; only this snapshot outlives it.
-	solverStats atomic.Pointer[solver.IncStats]
-	// specStats mirrors the pipeline's speculative pre-solve outcome
-	// counters the same way (nil until the first speculation window).
-	specStats atomic.Pointer[SpecStats]
+	// consistent set of counters without touching the
+	// (single-goroutine) pipeline.
+	portfolio atomic.Pointer[solver.PortfolioStats]
 	report    atomic.Pointer[core.Report]
 	firstSeen time.Time
 	doneAt    atomic.Int64 // unix nanos; 0 while in flight
@@ -101,55 +95,19 @@ type Bucket struct {
 // bucket (including ones later dropped as stale or overflowed).
 func (b *Bucket) Occurrences() int64 { return b.occurrences.Load() }
 
-// recordSolverStats mirrors the pipeline's persistent-solver counters
-// into the bucket so concurrent Snapshot calls can read them without
-// touching the (single-goroutine) pipeline. The whole struct is
-// published with a single pointer store: readers see either the
-// previous snapshot or this one, never a torn mix of the two.
-func (b *Bucket) recordSolverStats(p *core.Pipeline) {
-	st := p.SolverStats()
-	b.solverStats.Store(&st)
+// recordPortfolio publishes the pipeline report's racing counters.
+func (b *Bucket) recordPortfolio(p *core.Pipeline) {
+	st := p.Report().Portfolio
+	b.portfolio.Store(&st)
 }
 
-// loadSolverStats returns the last published solver-session snapshot
-// (zero value before the first publication).
-func (b *Bucket) loadSolverStats() solver.IncStats {
-	if st := b.solverStats.Load(); st != nil {
+// loadPortfolio returns the last published racing counters (zero
+// value before the first publication).
+func (b *Bucket) loadPortfolio() solver.PortfolioStats {
+	if st := b.portfolio.Load(); st != nil {
 		return *st
 	}
-	return solver.IncStats{}
-}
-
-// SpecStats counts a bucket pipeline's speculative pre-solve outcomes
-// (Options.Speculate): launched, hit (warmed state fed the next
-// query's fast path), completed-but-unhelpful, and cancelled.
-type SpecStats struct {
-	Speculations int64
-	Hits         int64
-	Misses       int64
-	Discards     int64
-}
-
-// recordSpecStats mirrors the pipeline report's speculation counters.
-// Unlike recordSolverStats it reads only the driver-owned report, so
-// it is safe to call while a speculation goroutine holds the session —
-// which is exactly when the scheduler calls it.
-func (b *Bucket) recordSpecStats(p *core.Pipeline) {
-	rep := p.Report()
-	b.specStats.Store(&SpecStats{
-		Speculations: int64(rep.Speculations),
-		Hits:         int64(rep.SpecHits),
-		Misses:       int64(rep.SpecMisses),
-		Discards:     int64(rep.SpecDiscards),
-	})
-}
-
-// loadSpecStats returns the last published speculation snapshot.
-func (b *Bucket) loadSpecStats() SpecStats {
-	if st := b.specStats.Load(); st != nil {
-		return *st
-	}
-	return SpecStats{}
+	return solver.PortfolioStats{}
 }
 
 // State returns the bucket's lifecycle state.

@@ -6,7 +6,6 @@ import (
 	"testing"
 
 	"execrecon/internal/expr"
-	"execrecon/internal/telemetry"
 )
 
 // genAbsintQuery builds a random constraint set over b that mixes the
@@ -106,61 +105,6 @@ func TestAbsintDifferentialOneShot(t *testing.T) {
 	}
 	if narrowed == 0 {
 		t.Fatalf("bit narrowing never pinned a variable bit across 300 random queries")
-	}
-}
-
-// TestAbsintDifferentialIncremental drives one persistent session with
-// absint enabled against per-query fresh baseline solves. The session
-// accumulates universal lemmas and refined-fact assumptions across
-// queries; any unsoundness there shows up as a verdict flip or an
-// invalid model.
-func TestAbsintDifferentialIncremental(t *testing.T) {
-	rng := rand.New(rand.NewSource(777))
-	reg := telemetry.New()
-	inc := NewIncremental(Options{Validate: true, Absint: true, Metrics: reg})
-	for trial := 0; trial < 200; trial++ {
-		b := expr.NewBuilder()
-		cs := genAbsintQuery(b, rng)
-		plain := New(b, DefaultOptions())
-		pres, _, perr := plain.Solve(cs)
-		ires, imodel, ierr := inc.Solve(cs)
-		if perr != nil || ierr != nil {
-			t.Fatalf("trial %d: errors plain=%v inc=%v", trial, perr, ierr)
-		}
-		if pres != ires {
-			t.Fatalf("trial %d: verdict mismatch plain=%v incremental=%v", trial, pres, ires)
-		}
-		if ires == ResultSat {
-			if ok, err := imodel.Satisfies(cs); err != nil || !ok {
-				t.Fatalf("trial %d: incremental model invalid (ok=%v err=%v)", trial, ok, err)
-			}
-		}
-	}
-	st := inc.Stats()
-	if st.FreshFallbacks != 0 {
-		t.Fatalf("session poisoned %d times — absint state corrupted the caches", st.FreshFallbacks)
-	}
-	if st.AbsintDischarged == 0 {
-		t.Fatalf("incremental pre-discharge never fired across 200 queries")
-	}
-	if st.AbsintFacts == 0 {
-		t.Fatalf("no refined facts were ever assumed across 200 queries")
-	}
-	// The er_absint_* series must mirror the session counters.
-	series := map[string]int64{}
-	for _, fam := range reg.Snapshot() {
-		for _, s := range fam.Series {
-			series[fam.Name] += int64(s.Value)
-		}
-	}
-	if got := series["er_absint_discharged_total"]; got != st.AbsintDischarged {
-		t.Fatalf("er_absint_discharged_total=%d, session says %d", got, st.AbsintDischarged)
-	}
-	if got := series["er_absint_facts_total"]; got != st.AbsintFacts {
-		t.Fatalf("er_absint_facts_total=%d, session says %d", got, st.AbsintFacts)
-	}
-	if got := series["er_absint_lemmas_total"]; got != st.AbsintLemmas {
-		t.Fatalf("er_absint_lemmas_total=%d, session says %d", got, st.AbsintLemmas)
 	}
 }
 

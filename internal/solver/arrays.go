@@ -28,13 +28,9 @@ type arrayElim struct {
 	reads     map[string][]readTerm // array var name -> reads
 	readOrder []string              // array names in first-read order
 	readElems map[string]uint       // element width per array var
-	// closed[name] counts the prefix of reads[name] whose pairwise
-	// functional-consistency constraints were already emitted, so
-	// incremental sessions only pay for pairs involving new reads.
-	closed map[string]int
-	side   []*expr.Expr
-	fresh  int
-	err    error
+	side      []*expr.Expr
+	fresh     int
+	err       error
 }
 
 type readTerm struct {
@@ -52,7 +48,6 @@ func newArrayElim(b *expr.Builder, budget *Budget) *arrayElim {
 		selCache:  make(map[[2]uint64]*expr.Expr),
 		reads:     make(map[string][]readTerm),
 		readElems: make(map[string]uint),
-		closed:    make(map[string]int),
 	}
 }
 
@@ -67,35 +62,17 @@ func (a *arrayElim) run(cs []*expr.Expr) ([]*expr.Expr, error) {
 		}
 		out = append(out, r)
 	}
-	lemmas, err := a.consistencyDelta()
+	lemmas, err := a.consistency()
 	if err != nil {
 		return nil, err
 	}
 	return append(append(out, lemmas...), a.side...), nil
 }
 
-// clearBudgetErr resets a sticky budget-exhaustion error so a
-// persistent session can retry the failed work under the next query's
-// fresh budget. Real (semantic) errors stay sticky.
-func (a *arrayElim) clearBudgetErr() {
-	if a.err == errBudget {
-		a.err = nil
-	}
-}
-
-// consistencyDelta emits the Ackermann functional-consistency
-// constraints for every read registered since the previous call: each
-// new read of a free array is paired against all earlier reads of the
-// same array. For a fresh arrayElim this is exactly the full pairwise
-// closure; for a long-lived session it is the incremental slice, so
-// repeated queries over a growing constraint set pay quadratic cost
-// only once rather than once per query. The returned constraints are
-// consequences of the array axioms (valid lemmas), so callers may
-// assert them persistently. Each array's closed-watermark advances
-// only after all of its new pairs were emitted; on budget exhaustion
-// the constraints emitted so far are still returned (alongside the
-// error) so sessions can keep them and retry only the remainder.
-func (a *arrayElim) consistencyDelta() ([]*expr.Expr, error) {
+// consistency emits the Ackermann functional-consistency constraints:
+// every read of a free array paired against each earlier read of the
+// same array.
+func (a *arrayElim) consistency() ([]*expr.Expr, error) {
 	var out []*expr.Expr
 	// Iterate arrays in first-read order, not map order: lemma order
 	// decides clause and watcher order in the SAT core, and through
@@ -104,20 +81,15 @@ func (a *arrayElim) consistencyDelta() ([]*expr.Expr, error) {
 	// process.
 	for _, name := range a.readOrder {
 		rs := a.reads[name]
-		from := a.closed[name]
-		if from >= len(rs) {
-			continue
-		}
-		for j := from; j < len(rs); j++ {
+		for j := 1; j < len(rs); j++ {
 			for i := 0; i < j; i++ {
 				if !a.budget.spend(2) {
-					return out, errBudget
+					return nil, errBudget
 				}
 				imp := a.b.Implies(a.b.Eq(rs[i].idx, rs[j].idx), a.b.Eq(rs[i].v, rs[j].v))
 				out = append(out, imp)
 			}
 		}
-		a.closed[name] = len(rs)
 	}
 	return out, nil
 }

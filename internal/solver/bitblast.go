@@ -20,9 +20,7 @@ type blaster struct {
 	vars map[string][]lit // expr var name -> bit literals
 
 	// narrow, when set, pins variable bits the abstract interpreter
-	// proved constant for every model of the current query. Must stay
-	// nil for incremental sessions, whose cached var literals outlive
-	// any one query's refinement.
+	// proved constant for every model of the current query.
 	narrow       map[string]absint.Val
 	bitsNarrowed int
 
@@ -490,41 +488,6 @@ func (b *blaster) constBits(v uint64, w int) []lit {
 	return out
 }
 
-// clearBudgetErr resets a sticky budget-exhaustion error so a
-// persistent session can retry under a fresh budget. The bits cache
-// only ever holds fully blasted nodes (partial work is returned as
-// uncached dummies), and every clause added so far is a valid Tseitin
-// definition of a fresh gate literal, so resuming is sound.
-func (b *blaster) clearBudgetErr() {
-	if b.err == errBudget {
-		b.err = nil
-	}
-}
-
-// cached reports whether e was already fully blasted — the reuse
-// signal incremental sessions surface in their stats.
-func (b *blaster) cached(e *expr.Expr) bool {
-	_, ok := b.bits[e]
-	return ok
-}
-
-// boolLit returns the literal equivalent to the boolean expression e,
-// without asserting it. The Tseitin definitions emitted along the way
-// are valid regardless of whether e itself is ever asserted, which is
-// what lets incremental sessions keep them across queries and pass
-// constraint literals as CDCL assumptions instead of clauses.
-func (b *blaster) boolLit(e *expr.Expr) (lit, bool) {
-	bs := b.blast(e)
-	if b.err != nil {
-		return litUndef, false
-	}
-	if len(bs) != 1 {
-		b.err = fmt.Errorf("solver: non-boolean constraint of width %d", len(bs))
-		return litUndef, false
-	}
-	return bs[0], true
-}
-
 // assert adds the constraint that boolean expression e is true.
 func (b *blaster) assert(e *expr.Expr) {
 	bs := b.blast(e)
@@ -541,14 +504,11 @@ func (b *blaster) assert(e *expr.Expr) {
 	}
 }
 
-// modelVar reads back the model value of a named expression variable.
-func (b *blaster) modelVar(name string) (uint64, bool) { return b.modelVarFrom(b.s, name) }
-
-// modelVarFrom reads the variable's bits out of core's model rather
-// than the blaster's own core — after a portfolio race the winning
-// model may live on a clone, which shares the snapshot's variable
-// numbering, so the blaster's literal maps apply unchanged.
-func (b *blaster) modelVarFrom(core *sat, name string) (uint64, bool) {
+// modelVar reads back the model value of a named expression variable
+// from core's model — after a portfolio race the winning model may
+// live on a replica of the blaster's own core, which shares its
+// variable numbering, so the blaster's literal maps apply unchanged.
+func (b *blaster) modelVar(core *sat, name string) (uint64, bool) {
 	bs, ok := b.vars[name]
 	if !ok {
 		return 0, false

@@ -193,3 +193,46 @@ func TestBudgetMonotonicDeadline(t *testing.T) {
 		t.Error("expired budget not marked exhausted")
 	}
 }
+
+// TestBudgetDeadlineStarvation is the regression test for the
+// deadline-starvation bug: the old implementation consulted the
+// wall clock only every 4096 steps, so a workload whose individual
+// steps are expensive (few but heavy spends) could overrun the
+// deadline by an unbounded factor — and a budget created with an
+// already-expired deadline would happily grant thousands of steps.
+func TestBudgetDeadlineStarvation(t *testing.T) {
+	// An already-expired deadline must deny the very first spend.
+	b := &Budget{Deadline: time.Now().Add(-time.Second)}
+	if b.spend(1) {
+		t.Fatal("expired deadline granted the first spend")
+	}
+	if !b.Exhausted() {
+		t.Error("budget not marked exhausted")
+	}
+
+	// A deadline expiring mid-run must be observed within the check
+	// cadence even when every spend is tiny.
+	b = &Budget{Deadline: time.Now().Add(2 * time.Millisecond)}
+	granted := 0
+	deadline := time.Now().Add(2 * time.Second) // test watchdog
+	for b.spend(1) {
+		granted++
+		if time.Now().After(deadline) {
+			t.Fatal("budget never observed the expired deadline")
+		}
+	}
+	// After expiry at most one check-cadence worth of steps may slip
+	// through before the clock is consulted again.
+	t.Logf("granted %d tiny spends before deadline stop", granted)
+
+	// Steps-only budgets are unaffected by the deadline machinery.
+	b = NewBudget(10)
+	for i := 0; i < 10; i++ {
+		if !b.spend(1) {
+			t.Fatalf("spend %d denied under budget", i)
+		}
+	}
+	if b.spend(1) {
+		t.Error("spend beyond MaxSteps granted")
+	}
+}

@@ -3,22 +3,18 @@
 // The base worker is the caller's own core running its usual
 // deterministic search (seed 0) solo — queries it answers within its
 // limits never pay a cent of racing overhead. Only when that search
-// exhausts its budget does the portfolio escalate: a pool of
-// persistent replica cores — each with a distinct restart cadence and
-// a sprinkle of random decisions and phases (sat.setSeed), plus
-// optional cube splits — races the query with fresh budget
-// allowances. Replicas live as long as the session and are caught up
-// incrementally before each race (only the clauses and root facts the
-// base added since the last escalation), so the cost of replicating a
-// grown session CNF is paid once, not per stall. Workers share short
-// learnt clauses through a bounded exchange and stop as soon as any
-// reaches a definitive verdict.
+// exhausts its budget does the portfolio escalate: replica cores —
+// each a copy of the stalled CNF with a distinct restart cadence and a
+// sprinkle of random decisions and phases (sat.setSeed), plus optional
+// cube splits — race the query with fresh budget allowances. Workers
+// share short learnt clauses through a bounded exchange and stop as
+// soon as any reaches a definitive verdict.
 //
 // Soundness: every replica's clause database holds only consequences
-// of the base CNF — its problem clauses and root facts (copied during
-// catch-up), its own learnt clauses, and exchange imports (learnt by
-// siblings over the same consequences) — and CDCL is sound and
-// complete, so any definitive answer is *the* answer regardless of
+// of the base CNF — its problem clauses and root facts (copied when
+// the replica is built), its own learnt clauses, and exchange imports
+// (learnt by siblings over the same consequences) — and CDCL is sound
+// and complete, so any definitive answer is *the* answer regardless of
 // which seed found it: racing changes latency, never verdicts. Parity
 // with the sequential solve is structural — phase one IS the
 // sequential solve, and escalation only ever converts its budget-bound
@@ -29,11 +25,7 @@
 // otherwise have forced.
 package solver
 
-import (
-	"sync"
-
-	"execrecon/internal/expr"
-)
+import "sync"
 
 // PortfolioOptions configures the racing-search layer: K seeded CDCL
 // workers (plus optional cube-and-conquer splits) race the same query,
@@ -75,9 +67,9 @@ const (
 // PortfolioStats counts racing outcomes across a solver's lifetime.
 type PortfolioStats struct {
 	// Races counts queries that entered the portfolio search layer
-	// (fast paths and trivial queries never do); Escalations the subset
+	// (trivially decided queries never do); Escalations the subset
 	// whose deterministic phase stalled and actually spawned racing
-	// clones.
+	// replicas.
 	Races       int64
 	Escalations int64
 	// BaseWins/SeedWins/CubeWins attribute definitive verdicts to the
@@ -93,13 +85,13 @@ type PortfolioStats struct {
 	ClausesImported int64
 	// CubeSplits counts cube workers launched; ExtraSteps the
 	// abstract work spent by non-base workers (the base worker's
-	// steps are in the ordinary Stats/IncStats counters).
+	// steps are in the ordinary Stats counters).
 	CubeSplits int64
 	ExtraSteps int64
 }
 
-// Merge accumulates o into s — cross-session aggregation (fleet
-// snapshots sum per-bucket stats with it).
+// Merge accumulates o into s — cross-solver aggregation (reports sum
+// per-iteration stats with it, fleet snapshots per-bucket ones).
 func (s *PortfolioStats) Merge(o PortfolioStats) {
 	s.Races += o.Races
 	s.Escalations += o.Escalations
@@ -192,20 +184,16 @@ func seedFor(opts PortfolioOptions, i int) uint64 {
 }
 
 // cubeLits picks the cube variables — the highest-occurrence variables
-// undecided at the base's root and not already fixed by the
-// assumptions — and returns one literal tuple per cube (all 2^n sign
-// combinations). It only reads the base core; call it while the base
-// is idle.
-func cubeLits(base *sat, assumps []lit, n int) [][]lit {
+// undecided at the base's root — and returns one literal tuple per
+// cube (all 2^n sign combinations). It only reads the base core; call
+// it while the base is idle.
+func cubeLits(base *sat, n int) [][]lit {
 	if n <= 0 {
 		return nil
 	}
 	units := base.rootFacts()
-	fixed := make(map[int]bool, len(units)+len(assumps))
+	fixed := make(map[int]bool, len(units))
 	for _, l := range units {
-		fixed[l.vindex()] = true
-	}
-	for _, l := range assumps {
 		fixed[l.vindex()] = true
 	}
 	occ := make([]int, base.numVars)
@@ -244,7 +232,7 @@ func cubeLits(base *sat, assumps []lit, n int) [][]lit {
 
 // mirrorBudget builds a fresh budget with the same limits as the
 // base's — each worker meters the full per-query allowance, so the
-// base worker replicates the sequential solve exactly and clones can
+// base worker replicates the sequential solve exactly and replicas can
 // only add answers, never steal the base's budget — all chained to the
 // race's cancellation flag.
 func mirrorBudget(base *Budget, stop *Cancel) *Budget {
@@ -254,125 +242,72 @@ func mirrorBudget(base *Budget, stop *Cancel) *Budget {
 	return &Budget{MaxSteps: base.MaxSteps, Timeout: base.Timeout, Deadline: base.Deadline, Stop: stop}
 }
 
-// replica is one persistent portfolio worker: a seeded core kept
-// alive across a session's escalations, plus cursors marking how much
-// of the base core's clause database and root-fact trail it has
-// already replicated. Catch-up before each race copies only the
-// suffix past the cursors, so replicating a grown session CNF is an
-// amortized cost instead of a per-stall rebuild.
-type replica struct {
-	core     *sat
-	nclauses int // base problem clauses already copied
-	nunits   int // base root-fact trail prefix already copied
-}
-
-func newReplica(seed uint64) *replica {
-	s := newSAT(nil)
-	s.setSeed(seed)
-	return &replica{core: s}
-}
-
-// catchUp brings the replica's clause database up to date with the
-// base core — new variables, root facts, and problem clauses added
-// since the last race. It reads the base but never writes it, so the
-// race's workers may all catch up concurrently while the base sits
-// idle. The base's learnt clauses are not copied: replicas accumulate
-// their own learnts (and exchange imports) across races, which serve
-// the same pruning role without a cursor over a shrinking slice.
+// newReplica builds a seeded worker core holding a copy of the base
+// core's clause database — its variables (with their saved phases),
+// root facts, and problem clauses. It reads the base but never writes
+// it, so the race's workers may all build their replicas concurrently
+// while the base sits idle. The base's learnt clauses are not copied:
+// replicas learn their own (and import their siblings').
 //
 // A false return means the replica hit a root-level contradiction.
 // Because its database holds only consequences of the base CNF, that
 // is a sound unsatisfiability verdict for the query itself, not just
 // for this worker.
-func (r *replica) catchUp(base *sat) bool {
-	s := r.core
-	if s.failed {
-		return false
-	}
-	// Retract a model held from winning an earlier race: values on a
-	// decision trail are hypotheses, and the level-0 install path below
-	// must only ever see root facts.
-	s.dropTrail()
+func newReplica(base *sat, seed uint64, budget *Budget) (*sat, bool) {
+	s := newSAT(budget)
+	s.setSeed(seed)
 	for s.numVars < base.numVars {
 		v := s.newVar()
 		s.polarity[v] = base.polarity[v]
 	}
-	units := base.rootFacts()
-	for _, u := range units[r.nunits:] {
+	for _, u := range base.rootFacts() {
 		if s.value(u) == tFalse {
 			s.failed = true
-			return false
+			return s, false
 		}
 		if s.value(u) == tUndef {
 			s.uncheckedEnqueue(u, crefNone)
 		}
 	}
-	r.nunits = len(units)
 	if s.propagate() != crefNone {
 		s.failed = true
-		return false
+		return s, false
 	}
-	for _, c := range base.clauses[r.nclauses:] {
+	for _, c := range base.clauses {
 		// addClauseAtZero compacts its argument in place; the replica
 		// needs its own copy of the base's literals.
 		s.addBuf = append(s.addBuf[:0], base.clauseLits(c)...)
 		if !s.addClauseAtZero(s.addBuf) {
-			return false
+			return s, false
 		}
 	}
-	r.nclauses = len(base.clauses)
-	return true
+	return s, true
 }
 
-// replicaPool holds a session's persistent racing replicas, created
-// lazily on the first escalation and kept until the session resets
-// (a rebuild renumbers variables, which invalidates every cursor).
-type replicaPool struct {
-	seeds []*replica // diversified full-space workers 1..K-1
-	cubes []*replica // one worker per cube split
-}
-
-// ensure grows the pool to the configured worker count plus the cube
-// workers this race needs. Replicas keep their seed for life, so a
-// given worker index diversifies the same way in every race.
-func (p *replicaPool) ensure(opts PortfolioOptions, ncubes int) {
-	for len(p.seeds) < opts.Workers-1 {
-		p.seeds = append(p.seeds, newReplica(seedFor(opts, len(p.seeds)+1)))
-	}
-	for len(p.cubes) < ncubes {
-		p.cubes = append(p.cubes, newReplica(seedFor(opts, opts.Workers+len(p.cubes))))
-	}
-}
-
-// raceSearch runs searchAssume on the base core and, if — and only if
-// — that deterministic search exhausts its limits, escalates to a
-// race across the pool's replicas (caught up to the stalled CNF) and
-// cube splits. The caller must already have tried the fast path
-// (fastSolve); the base core's held trail, if any, has been dropped.
-// On satSat the returned core holds the model — the base itself when
-// the sequential phase answered, a replica otherwise (in which case
-// the base's trail is gone and the next incremental query pays a
-// fresh descent; that is the documented cost of an escalation win).
+// raceSearch runs the deterministic search on the base core and, if —
+// and only if — that search exhausts its limits, escalates to a race
+// across freshly built replicas of the stalled CNF and cube splits. On
+// satSat the returned core holds the model: the base itself when the
+// sequential phase answered, a replica otherwise.
 //
 // The sequential phase running solo is what keeps the portfolio's
-// overhead off the common path: replica catch-up costs real time on
-// grown session CNFs, and paying anything per query would dwarf the
-// per-query search times; a stall, by contrast, is about to cost the
-// reconstruction an entire reoccurrence wait, so spending a race on
-// it is always a good trade.
+// overhead off the common path: replicating the CNF costs real time,
+// and paying it per query would dwarf the per-query search times; a
+// stall, by contrast, is about to cost the reconstruction an entire
+// reoccurrence wait, so spending a race on it is always a good trade.
 //
 // All workers are joined before returning: no goroutine touches the
 // exchange, any budget, or any replica after raceSearch returns, and
 // none ever writes the base core.
-func raceSearch(base *sat, pool *replicaPool, assumps []lit, opts PortfolioOptions, stats *PortfolioStats) (satResult, *sat) {
+func raceSearch(base *sat, opts PortfolioOptions, stats *PortfolioStats) (satResult, *sat) {
 	if opts.Workers <= 1 {
-		return base.searchAssume(assumps), base
+		return base.solve(), base
 	}
 
 	stats.Races++
 	// Phase one: the unmodified sequential search under the caller's
 	// own budget. Definitive answers (and cancellations) end here.
-	res := base.searchAssume(assumps)
+	res := base.solve()
 	if res != satUnknown {
 		stats.BaseWins++
 		return res, base
@@ -384,7 +319,7 @@ func raceSearch(base *sat, pool *replicaPool, assumps []lit, opts PortfolioOptio
 
 	// Phase two: the deterministic search is budget-bound — escalate.
 	// The base is idle from here until every worker is joined, so the
-	// workers' concurrent catch-up reads are safe.
+	// workers' concurrent replication reads are safe.
 	exch := newClauseExchange(opts)
 
 	var parent *Cancel
@@ -399,9 +334,8 @@ func raceSearch(base *sat, pool *replicaPool, assumps []lit, opts PortfolioOptio
 		minClauses = DefaultCubeMinClauses
 	}
 	if opts.CubeVars > 0 && len(base.clauses) >= minClauses {
-		cubes = cubeLits(base, assumps, opts.CubeVars)
+		cubes = cubeLits(base, opts.CubeVars)
 	}
-	pool.ensure(opts, len(cubes))
 
 	type outcome struct {
 		kind int
@@ -411,32 +345,29 @@ func raceSearch(base *sat, pool *replicaPool, assumps []lit, opts PortfolioOptio
 	total := opts.Workers - 1 + len(cubes)
 	results := make(chan outcome, total)
 
-	// Catch-up is the bulk of an escalation's fixed cost on first race
-	// (the whole session CNF) and near-free afterwards; each worker
-	// catches its replica up inside its own goroutine so the copies
-	// overlap. A cancellation landing mid-catch-up (another worker
-	// already won) is observed by the replica's budget during its
-	// first descent.
-	launch := func(rc *replica, id, kind int, as []lit) {
+	// Replication is the bulk of an escalation's fixed cost; each
+	// worker builds its replica inside its own goroutine so the copies
+	// overlap. A cancellation landing mid-copy (another worker already
+	// won) is observed by the replica's budget during its first descent.
+	launch := func(id, kind int, assumps []lit) {
 		go func() {
-			rc.core.budget = mirrorBudget(base.budget, raceStop)
-			rc.core.exchange, rc.core.exchangeID, rc.core.exchangeCursor = exch, id, 0
-			if !rc.catchUp(base) {
+			rc, ok := newReplica(base, seedFor(opts, id), mirrorBudget(base.budget, raceStop))
+			if !ok {
 				// Root contradiction among base-CNF consequences: a
 				// global unsat verdict whatever the worker's kind, so
 				// report it as a full-space answer.
-				results <- outcome{workerSeed, satUnsat, rc.core}
+				results <- outcome{workerSeed, satUnsat, rc}
 				return
 			}
-			results <- outcome{kind, rc.core.searchAssume(as), rc.core}
+			rc.exchange, rc.exchangeID = exch, id
+			results <- outcome{kind, rc.solveAssume(assumps), rc}
 		}()
 	}
-	for i, rc := range pool.seeds {
-		launch(rc, i+1, workerSeed, assumps)
+	for i := 1; i < opts.Workers; i++ {
+		launch(i, workerSeed, nil)
 	}
 	for ci, cube := range cubes {
-		cubeAssumps := append(append(make([]lit, 0, len(assumps)+len(cube)), assumps...), cube...)
-		launch(pool.cubes[ci], opts.Workers+ci, workerCube, cubeAssumps)
+		launch(opts.Workers+ci, workerCube, cube)
 	}
 
 	stats.Escalations++
@@ -446,9 +377,7 @@ func raceSearch(base *sat, pool *replicaPool, assumps []lit, opts PortfolioOptio
 	cubesUnsat := 0
 	for done := 0; done < total; done++ {
 		o := <-results
-		if o.core.budget != nil {
-			stats.ExtraSteps += o.core.budget.Used()
-		}
+		stats.ExtraSteps += o.core.budget.Used()
 		if winKind >= 0 {
 			continue // already decided; draining for the join
 		}
@@ -483,18 +412,4 @@ func raceSearch(base *sat, pool *replicaPool, assumps []lit, opts PortfolioOptio
 	stats.ClausesImported += exch.imported
 	exch.mu.Unlock()
 	return res, winner
-}
-
-// Portfolio is a one-shot Backend that races every query's search
-// phase across seeded workers. It is Solver with PortfolioOptions
-// pre-wired — array elimination and bit blasting run once; only the
-// CDCL descent is raced.
-type Portfolio struct {
-	*Solver
-}
-
-// NewPortfolio returns a racing one-shot solver over builder b.
-func NewPortfolio(b *expr.Builder, opts Options, popts PortfolioOptions) *Portfolio {
-	opts.Portfolio = popts
-	return &Portfolio{Solver: New(b, opts)}
 }

@@ -84,11 +84,11 @@ func TestPortfolioDifferential(t *testing.T) {
 				t.Fatalf("K=%d trial %d: sequential: %v", workers, trial, err)
 			}
 
-			port := NewPortfolio(b, DefaultOptions(), PortfolioOptions{
+			port := New(b, Options{Validate: true, Portfolio: PortfolioOptions{
 				Workers:        workers,
 				CubeVars:       2,
 				CubeMinClauses: 1, // force the cube path on small CNFs
-			})
+			}})
 			pres, pmodel, err := port.Solve(cs)
 			if err != nil {
 				t.Fatalf("K=%d trial %d: portfolio: %v", workers, trial, err)
@@ -108,63 +108,6 @@ func TestPortfolioDifferential(t *testing.T) {
 			if want := ResultUnsat; unsat && pres != want {
 				t.Fatalf("K=%d trial %d: unsat-by-construction decided %v", workers, trial, pres)
 			}
-		}
-	}
-}
-
-// TestPortfolioIncrementalDifferential drives two incremental sessions
-// — one sequential, one racing — through the same growing query
-// sequence (the shape of ER's reconstruction queries: mostly extend,
-// occasionally contradict) and checks verdict parity at every step.
-func TestPortfolioIncrementalDifferential(t *testing.T) {
-	rng := rand.New(rand.NewSource(77))
-	for _, workers := range []int{2, 4} {
-		cb := expr.NewBuilder()
-		const w = 16
-		x := cb.Var("x", w)
-		y := cb.Var("y", w)
-
-		seq := NewIncremental(Options{Validate: true})
-		port := NewIncremental(Options{Validate: true, Portfolio: PortfolioOptions{Workers: workers}})
-
-		var cs []*expr.Expr
-		cs = append(cs, cb.Eq(cb.Add(x, y), cb.Const(500, w)))
-		for step := 0; step < 12; step++ {
-			query := cs
-			if step%4 == 3 {
-				// A contradicting side constraint (not retained):
-				// x < 100 ∧ x > 60000 on top of the base system.
-				query = append(append([]*expr.Expr{}, cs...),
-					cb.Ult(x, cb.Const(100, w)),
-					cb.Ult(cb.Const(60000, w), x))
-			} else {
-				cs = append(cs, cb.Ult(x, cb.Const(uint64(400-step*20), w)))
-				query = cs
-			}
-			sres, smodel, err := seq.Solve(query)
-			if err != nil {
-				t.Fatalf("K=%d step %d: sequential: %v", workers, step, err)
-			}
-			pres, pmodel, err := port.Solve(query)
-			if err != nil {
-				t.Fatalf("K=%d step %d: portfolio: %v", workers, step, err)
-			}
-			if pres != sres {
-				t.Fatalf("K=%d step %d: verdict diverged: sequential %v, portfolio %v",
-					workers, step, sres, pres)
-			}
-			if sres == ResultSat {
-				for name, m := range map[string]*expr.Assignment{"seq": smodel, "port": pmodel} {
-					ok, err := m.Satisfies(query)
-					if err != nil || !ok {
-						t.Fatalf("K=%d step %d: %s model invalid (err %v)", workers, step, name, err)
-					}
-				}
-			}
-			_ = rng
-		}
-		if st := port.Stats(); st.Portfolio.Races == 0 {
-			t.Errorf("K=%d: racing session never raced (fast path should not cover every query)", workers)
 		}
 	}
 }

@@ -115,18 +115,6 @@ type sat struct {
 	conflicts    int64
 	decisions    int64
 
-	// Incremental trail reuse (solveAssume). modelHeld marks that the
-	// trail is a complete satisfying assignment left in place by the
-	// previous call; the next call tries to extend or minimally shrink
-	// it (extendModel) instead of re-searching from scratch — the
-	// queries an ER reconstruction issues mostly extend the previous
-	// one, so the held model usually survives.
-	modelHeld bool
-	// fastSats counts queries answered by extendModel; trailShrinks
-	// those of them that first had to retract part of the held trail.
-	fastSats     int64
-	trailShrinks int64
-
 	// Diversification for portfolio racing (setSeed). Seed 0 keeps
 	// the solver exactly as deterministic as it has always been; a
 	// non-zero seed mixes rare random decisions and phase flips into
@@ -269,9 +257,9 @@ func (s *sat) value(l lit) tribool {
 
 // addClause installs a problem clause; it returns false if the clause
 // system is trivially unsatisfiable. It may be called at any decision
-// level: while a trail is held between incremental queries, clauses
-// that cannot be attached safely under the current partial assignment
-// first backtrack to level 0 (see addClauseDynamic).
+// level: a clause imported mid-search that cannot be attached safely
+// under the current partial assignment first backtracks to level 0
+// (see addClauseDynamic).
 func (s *sat) addClause(lits []lit) bool {
 	if s.decisionLevel() > 0 {
 		return s.addClauseDynamic(lits)
@@ -335,25 +323,24 @@ outerZero:
 	return true
 }
 
-// addClauseDynamic attaches a clause while a partial (or complete)
-// trail from a previous incremental query is still in place, avoiding
-// the full backtrack-to-zero that would force the next query to
-// re-propagate the whole database. Safety argument:
+// addClauseDynamic attaches a clause while a partial trail is in place
+// — a portfolio worker importing a sibling's learnt clause at a restart
+// above its assumption levels — avoiding a full backtrack-to-zero that
+// would re-propagate the whole database. Safety argument:
 //
 //   - ≥2 literals non-false under the current assignment: watch two of
 //     them. A watch falsified later flows through propagate as usual; a
 //     watch false *before* attach never needs an event because the
 //     other watch is non-false, and if it too is falsified later the
 //     examination sees the clause as unit/conflicting then.
-//   - exactly 1 non-false literal: the clause is unit under the held
+//   - exactly 1 non-false literal: the clause is unit under the current
 //     trail. Watch the non-false literal plus the deepest false one and
 //     enqueue the implication at the current level with the clause as
 //     reason (a "late implication", at a higher level than strictly
 //     necessary — sound for CDCL, merely less precise for backjumps).
 //   - 0 non-false literals, or a unit clause: these must live at level
 //     0 to survive later backtracks, so fall back to a full backtrack
-//     plus the classic install path. This invalidates any held trail,
-//     which solveAssume detects via the decision level.
+//     plus the classic install path.
 func (s *sat) addClauseDynamic(lits []lit) bool {
 	// Level-0 simplification only (higher-level assignments are
 	// transient and must not erase literals). Duplicate detection is a
@@ -391,12 +378,11 @@ outerDyn:
 		}
 	}
 	if len(out) < 2 || nf == 0 {
-		s.modelHeld = false
 		s.backtrackTo(0)
 		return s.addClauseAtZero(out)
 	}
 	if nf == 1 {
-		// Unit under the held trail: watch out[0] plus the deepest
+		// Unit under the current trail: watch out[0] plus the deepest
 		// falsified literal.
 		maxI := 1
 		for i := 2; i < len(out); i++ {
@@ -707,69 +693,22 @@ const (
 func (s *sat) solve() satResult { return s.solveAssume(nil) }
 
 // solveAssume runs the CDCL loop under the given assumption literals
-// (MiniSat-style incremental interface). Assumptions are enqueued as
-// the first decisions, one per decision level, and are re-enqueued
-// automatically after backjumps; if unit propagation ever forces an
-// assumption false the formula is unsatisfiable *under the
-// assumptions* (satUnsat) without poisoning the clause database.
-// Because assumptions are decisions rather than clauses, every clause
-// learnt during the search is a consequence of the problem clauses
-// alone and remains valid for later calls with different assumptions —
-// the property the incremental solver sessions lean on to keep one
-// learnt-clause database alive across a pipeline's queries. On satSat,
-// assigns holds a full model extending the assumptions.
-//
-// Trail reuse: on satSat the full satisfying trail is left in place.
-// The next call first tries extendModel: flush any implications
-// enqueued by clauses attached since (addClauseDynamic), then adapt
-// the held model to the new assumption set — re-deciding fresh
-// variables, retracting just the suffix of the trail that falsifies
-// an assumption, and repairing local conflicts with backjumps clamped
-// above the held prefix. This answers the overwhelming share of ER's
-// queries (concretizations extend the previous model by construction;
-// growing path constraints keep it wholesale) without re-propagating
-// the accumulated clause database. Only when extendModel gives up
-// does the classic from-scratch descent below run. On satUnsat or
-// satUnknown the trail is fully retracted.
+// (MiniSat-style). Assumptions are enqueued as the first decisions, one
+// per decision level, and are re-enqueued automatically after
+// backjumps; if unit propagation ever forces an assumption false the
+// formula is unsatisfiable *under the assumptions* (satUnsat) without
+// poisoning the clause database. Because assumptions are decisions
+// rather than clauses, every clause learnt during the search is a
+// consequence of the problem clauses alone — which is what lets a
+// portfolio's cube workers, each searching under its own cube of
+// assumptions, share learnt clauses soundly. On satSat, assigns holds
+// a full model extending the assumptions; on satUnsat or satUnknown
+// the trail is fully retracted.
 func (s *sat) solveAssume(assumps []lit) satResult {
-	if res, done := s.fastSolve(assumps); done {
-		return res
-	}
-	return s.searchAssume(assumps)
-}
-
-// fastSolve is the search-free front half of solveAssume: known-failed
-// cores answer unsat immediately, and a held satisfying trail is
-// extended to the new assumption set when possible. The second return
-// reports whether the query was decided; when false the caller must
-// run searchAssume (possibly raced across portfolio workers — the fast
-// path itself is never raced, it belongs to the session's core alone).
-func (s *sat) fastSolve(assumps []lit) (satResult, bool) {
-	if s.failed {
-		s.dropTrail()
-		return satUnsat, true
-	}
-	// propagate() first: clauses attached since the last call may have
-	// enqueued implications (their gate-variable cascade) that are not
-	// yet flushed. A conflict here is handled by the regular search
-	// after backtracking.
-	if s.modelHeld {
-		if conflict := s.propagate(); conflict == crefNone && s.extendModel(assumps) {
-			s.fastSats++
-			return satSat, true
-		}
-		s.modelHeld = false
-	}
-	return satUnknown, false
-}
-
-// searchAssume is the from-scratch CDCL descent of solveAssume.
-func (s *sat) searchAssume(assumps []lit) satResult {
 	if s.failed {
 		s.dropTrail()
 		return satUnsat
 	}
-	s.modelHeld = false
 	s.backtrackTo(0)
 	var restarts int64
 	conflictsUntilRestart := luby(1) * s.restartBase
@@ -841,7 +780,6 @@ func (s *sat) searchAssume(assumps []lit) satResult {
 		}
 		v := s.pickBranchVar()
 		if v < 0 {
-			s.modelHeld = true
 			return satSat
 		}
 		s.decisions++
@@ -882,136 +820,8 @@ func (s *sat) importShared() bool {
 	return true
 }
 
-// extendModel tries to turn the held (propagated, conflict-free)
-// trail into a model of the new query without a from-scratch search:
-//
-//  1. Establish the assumptions. Still-undefined ones are enqueued as
-//     fresh decisions; an assumption the held trail *falsifies* is
-//     handled by shrinking — backtrack to just below the level that
-//     assigned it, retracting only the incompatible suffix of the held
-//     trail (everything kept was decided before the offending
-//     assignment, so the assumption is free again). Conflicts raised
-//     while re-propagating an assumption are repaired with the same
-//     bounded CDCL used in step 2 (floor 0). The scan restarts after
-//     each shrink or repair because retraction can unassign
-//     assumptions already checked.
-//  2. Complete the assignment: every remaining free variable (new
-//     Tseitin gates, fresh array-read variables) is decided with its
-//     saved phase. Local conflicts are repaired with ordinary CDCL
-//     analysis whose backjump target is clamped above the kept trail,
-//     so everything established in step 1 stays true.
-//
-// On success the trail is a complete, propagation-saturated,
-// conflict-free assignment with every assumption true — a model, by
-// the two-watched-literal invariant. On any bail-out (assumption false
-// at level 0, shrink or repair bounds exceeded, budget stop) it
-// reports false and the regular search runs from scratch; the work
-// discarded is work the search would redo anyway.
-func (s *sat) extendModel(assumps []lit) bool {
-	const maxShrinks = 32
-	shrinks := 0
-	var repairConf int64
-	for i := 0; i < len(assumps); {
-		p := assumps[i]
-		switch s.value(p) {
-		case tTrue:
-			i++
-		case tUndef:
-			if s.budget != nil && !s.budget.spend(1) {
-				return false
-			}
-			s.decisions++
-			s.trailLim = append(s.trailLim, len(s.trail))
-			s.uncheckedEnqueue(p, crefNone)
-			if conflict := s.propagate(); conflict != crefNone {
-				if !s.repairConflicts(conflict, 0, &repairConf) {
-					return false
-				}
-				i = 0 // repair may have retracted earlier assumptions
-				continue
-			}
-			i++ // propagation never unassigns: earlier assumptions stay true
-		default: // tFalse: shrink the held trail below the offending level
-			lv := s.level[p.vindex()]
-			if lv == 0 || shrinks >= maxShrinks {
-				return false // false at the root: genuinely unsat under assumps
-			}
-			shrinks++
-			s.backtrackTo(lv - 1)
-			i = 0 // retraction can unassign assumptions already checked
-		}
-	}
-	if shrinks > 0 {
-		s.trailShrinks++
-	}
-	// Levels at or below floor (the kept trail plus the assumption
-	// decisions) are never disturbed from here on, so the assumptions
-	// stay true in whatever model this extension reaches.
-	floor := s.decisionLevel()
-	for {
-		v := s.pickBranchVar()
-		if v < 0 {
-			// Complete, propagation-saturated, conflict-free: a model.
-			// Defensive re-check of the assumptions (they cannot have
-			// been unassigned — backjumps are clamped to floor).
-			for _, p := range assumps {
-				if s.value(p) != tTrue {
-					return false
-				}
-			}
-			return true
-		}
-		if s.budget != nil && !s.budget.spend(1) {
-			return false
-		}
-		s.decisions++
-		s.trailLim = append(s.trailLim, len(s.trail))
-		s.uncheckedEnqueue(mkLit(v, !s.polarity[v]), crefNone)
-		if conflict := s.propagate(); conflict != crefNone {
-			if !s.repairConflicts(conflict, floor, &repairConf) {
-				return false
-			}
-		}
-	}
-}
-
-// repairConflicts resolves conflict (and any follow-on conflicts from
-// re-propagation) with ordinary CDCL analysis, except the backjump
-// target is clamped to floor. Clamping is sound — the asserting
-// literal's siblings in the learnt clause live at levels <= the
-// computed target, so they stay false at any deeper level and the
-// clause remains unit there (chronological backtracking). It reports
-// false when the shared bound *repairs is exhausted, a conflict
-// arises at or below floor (repair cannot make progress without
-// undoing the protected trail), or the budget runs out; the caller
-// then bails to the regular search.
-func (s *sat) repairConflicts(conflict cref, floor int, repairs *int64) bool {
-	for ; conflict != crefNone; conflict = s.propagate() {
-		s.conflicts++
-		*repairs++
-		if *repairs > 256 || s.decisionLevel() <= floor {
-			return false
-		}
-		if s.budget != nil && !s.budget.spend(50) {
-			return false
-		}
-		learnt, bt := s.analyze(conflict)
-		if bt < floor {
-			bt = floor
-		}
-		s.backtrackTo(bt)
-		s.learn(learnt)
-		s.decayActivities()
-	}
-	return true
-}
-
-// dropTrail fully retracts the trail and forgets any reusable state;
-// called on every non-sat exit so later queries start from scratch.
-func (s *sat) dropTrail() {
-	s.backtrackTo(0)
-	s.modelHeld = false
-}
+// dropTrail fully retracts the trail; called on every non-sat exit.
+func (s *sat) dropTrail() { s.backtrackTo(0) }
 
 // locked reports whether clause c is the reason for an assignment on
 // the trail. A reason clause always implies its first literal (the
@@ -1101,10 +911,9 @@ func (s *sat) modelValue(v int) bool { return s.assigns[v] == tTrue }
 // rootFacts returns the level-0 prefix of the trail: every literal
 // forced by the clause database alone, with no decisions involved.
 // Unit clauses never enter s.clauses (they are enqueued directly), so
-// this prefix is the only record of them. It only grows while the
-// variable numbering is stable, which is what lets portfolio replicas
-// track it with a cursor. The returned slice aliases the trail — copy
-// before mutating, and only read it while the core is idle.
+// this prefix is the only record of them. The returned slice aliases
+// the trail — copy before mutating, and only read it while the core is
+// idle.
 func (s *sat) rootFacts() []lit {
 	bound := len(s.trail)
 	if s.decisionLevel() > 0 {

@@ -7,7 +7,6 @@ import (
 
 	"execrecon/internal/absint"
 	"execrecon/internal/expr"
-	"execrecon/internal/telemetry"
 )
 
 // Result is the outcome of a Solve call.
@@ -45,16 +44,6 @@ type Options struct {
 	// model and fails loudly on mismatch. Cheap; on by default via
 	// DefaultOptions.
 	Validate bool
-	// MaxSessionNodes bounds an Incremental session's interned
-	// expression nodes before it resets its caches (0 means
-	// DefaultMaxSessionNodes). Ignored by the one-shot Solver.
-	MaxSessionNodes int
-	// Metrics, when set, receives an Incremental session's counters
-	// (er_solver_*) in the shared telemetry registry: one delta
-	// update per Solve call, so many sessions can share one registry
-	// without double counting. The IncStats struct remains the
-	// per-session view. Ignored by the one-shot Solver.
-	Metrics *telemetry.Registry
 	// Stop, when set, cancels in-flight solves promptly: it is
 	// observed on every budget spend (each CDCL decision, conflict,
 	// and Tseitin gate), not just at the deadline-check cadence. A
@@ -73,22 +62,6 @@ type Options struct {
 	// constants, shrinking the CNF. Verdict-preserving.
 	Absint bool
 }
-
-// Backend is the query interface shared by the one-shot Solver and
-// the persistent Incremental session, letting callers (the symbolic
-// executor, the ER pipeline) swap fresh-per-query solving for
-// session-cached solving without caring which they hold.
-type Backend interface {
-	// Solve decides the conjunction of cs.
-	Solve(cs []*expr.Expr) (Result, *expr.Assignment, error)
-	// LastStats returns statistics for the most recent Solve call.
-	LastStats() Stats
-}
-
-var (
-	_ Backend = (*Solver)(nil)
-	_ Backend = (*Incremental)(nil)
-)
 
 // DefaultOptions returns options with validation enabled and no
 // limits.
@@ -240,28 +213,12 @@ func (s *Solver) Solve(cs []*expr.Expr) (Result, *expr.Assignment, error) {
 
 	// Stage 3: CDCL — raced across seeded workers when a portfolio is
 	// configured, solo otherwise. The winner core holds the model.
-	winner := core
-	if s.opts.Portfolio.Workers > 1 {
-		var sres satResult
-		var done bool
-		if sres, done = core.fastSolve(nil); !done {
-			// One-shot queries race over a throwaway pool: catch-up
-			// replicates the whole CNF once, exactly as a clone would.
-			sres, winner = raceSearch(core, &replicaPool{}, nil, s.opts.Portfolio, &s.pstats)
-		}
-		switch sres {
-		case satUnsat:
-			return ResultUnsat, nil, nil
-		case satUnknown:
-			return ResultUnknown, nil, nil
-		}
-	} else {
-		switch core.solve() {
-		case satUnsat:
-			return ResultUnsat, nil, nil
-		case satUnknown:
-			return ResultUnknown, nil, nil
-		}
+	sres, winner := raceSearch(core, s.opts.Portfolio, &s.pstats)
+	switch sres {
+	case satUnsat:
+		return ResultUnsat, nil, nil
+	case satUnknown:
+		return ResultUnknown, nil, nil
 	}
 
 	// Stage 4: model extraction.
@@ -281,23 +238,17 @@ func (s *Solver) Solve(cs []*expr.Expr) (Result, *expr.Assignment, error) {
 	return ResultSat, asn, nil
 }
 
-// extractModel builds the satisfying assignment from the SAT model:
-// named bitvector variables read back from their bit literals, and
-// array models rebuilt from the Ackermann read terms (read-term index
-// expressions are pure bitvector expressions over model variables, so
-// they evaluate directly). Internal $rd read variables are dropped
-// from the visible model.
-func extractModel(bl *blaster, elim *arrayElim) (*expr.Assignment, error) {
-	return extractModelFrom(bl, elim, bl.s)
-}
-
-// extractModelFrom is extractModel reading the SAT model from core —
-// the portfolio race's winner, which may be a clone of the blaster's
-// own core.
+// extractModelFrom builds the satisfying assignment from core's SAT
+// model — the portfolio race's winner, which may be a replica of the
+// blaster's own core: named bitvector variables read back from their
+// bit literals, and array models rebuilt from the Ackermann read terms
+// (read-term index expressions are pure bitvector expressions over
+// model variables, so they evaluate directly). Internal $rd read
+// variables are dropped from the visible model.
 func extractModelFrom(bl *blaster, elim *arrayElim, core *sat) (*expr.Assignment, error) {
 	asn := expr.NewAssignment()
 	for name := range bl.vars {
-		if v, ok := bl.modelVarFrom(core, name); ok {
+		if v, ok := bl.modelVar(core, name); ok {
 			asn.Vars[name] = v
 		}
 	}

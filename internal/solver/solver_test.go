@@ -422,3 +422,34 @@ func TestEmptyAndTrivial(t *testing.T) {
 		t.Error("false should be unsat")
 	}
 }
+
+// TestStatsPopulatedOnEarlyExit is the regression test for the Stats
+// under-report bug: budget-exhausted ResultUnknown returns — exactly
+// the solves ER's stall detection keys off — used to report zero
+// steps, elapsed time, and SAT counters because stats were recorded
+// only on the happy path.
+func TestStatsPopulatedOnEarlyExit(t *testing.T) {
+	b := expr.NewBuilder()
+	x := b.Var("x", 32)
+	y := b.Var("y", 32)
+	hard := []*expr.Expr{
+		b.Eq(b.Mul(x, y), b.Const(0xdeadbeef, 32)),
+		b.Ult(b.Const(2, 32), x),
+		b.Ult(b.Const(2, 32), y),
+	}
+	s := New(b, Options{MaxSteps: 50}) // far too little to finish
+	res, _, err := s.Solve(hard)
+	if err != nil {
+		t.Fatalf("solve: %v", err)
+	}
+	if res != ResultUnknown {
+		t.Fatalf("result %v, want unknown under a 50-step budget", res)
+	}
+	st := s.LastStats()
+	if st.Steps == 0 {
+		t.Error("Steps not populated on budget-exhausted exit")
+	}
+	if st.Elapsed == 0 {
+		t.Error("Elapsed not populated on budget-exhausted exit")
+	}
+}

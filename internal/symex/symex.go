@@ -70,23 +70,15 @@ type Options struct {
 	// ProgressEvery records a progress sample each N instructions
 	// (0 disables); used by the Fig 5 experiment.
 	ProgressEvery int64
-	// Solver optionally supplies a persistent solver session (an
-	// *solver.Incremental shared across a pipeline's iterations). When
-	// nil the engine creates a fresh one-shot solver over its own
-	// builder, exactly as before.
-	Solver solver.Backend
 	// Stop, when set, cancels in-flight solver queries promptly: the
 	// flag is observed on every budget spend, not just at the deadline
-	// cadence. Pipelines wire their abort flag here. Ignored when
-	// Solver is injected (configure the session's own Options.Stop).
+	// cadence. Pipelines wire their abort flag here.
 	Stop *solver.Cancel
 	// Portfolio, when Workers > 1, races each query's CDCL descent
-	// across seeded workers. Ignored when Solver is injected.
+	// across seeded workers.
 	Portfolio solver.PortfolioOptions
 	// Absint enables the abstract-interpretation pre-discharge and
-	// width-narrowed blasting in the engine's own one-shot solver.
-	// Ignored when Solver is injected (configure the session's own
-	// Options.Absint).
+	// width-narrowed blasting in the engine's solver.
 	Absint bool
 	// Slice optionally supplies the static backward failure slice of
 	// the module (dataflow.Analyze). When set, instructions statically
@@ -152,8 +144,7 @@ type RunStats struct {
 	SolverQueries int64
 	SolverSteps   int64
 	// SolverTime is the cumulative wall time spent inside solver
-	// queries — the quantity the solvecache experiment compares
-	// between fresh-per-query and incremental-session solving.
+	// queries.
 	SolverTime time.Duration
 	// SATVars/SATClauses accumulate the CNF size reported by every
 	// query (for one-shot solving, the total blasted volume — the
@@ -168,6 +159,9 @@ type RunStats struct {
 	Elapsed          time.Duration
 	PCSize           int
 	GraphNodes       int
+	// Portfolio carries the solver's racing counters (zero unless
+	// Options.Portfolio races).
+	Portfolio solver.PortfolioStats
 }
 
 // Result is the outcome of a shepherded symbolic execution.
@@ -215,7 +209,7 @@ type Engine struct {
 	an   *dataflow.Analysis
 
 	b   *expr.Builder
-	sol solver.Backend
+	sol *solver.Solver
 
 	threads []*sthread
 	objs    []*sobj
@@ -323,17 +317,14 @@ func NewFromEvents(mod *ir.Module, src pt.EventSource, failure *vm.Failure, opts
 		opts.MaxInstrs = 100_000_000
 	}
 	b := expr.NewBuilder()
-	sol := opts.Solver
-	if sol == nil {
-		sol = solver.New(b, solver.Options{
-			MaxSteps:  opts.QueryBudget,
-			Timeout:   opts.QueryTimeout,
-			Validate:  false,
-			Stop:      opts.Stop,
-			Portfolio: opts.Portfolio,
-			Absint:    opts.Absint,
-		})
-	}
+	sol := solver.New(b, solver.Options{
+		MaxSteps:  opts.QueryBudget,
+		Timeout:   opts.QueryTimeout,
+		Validate:  false,
+		Stop:      opts.Stop,
+		Portfolio: opts.Portfolio,
+		Absint:    opts.Absint,
+	})
 	e := &Engine{
 		mod:       mod,
 		opts:      opts,
@@ -402,6 +393,7 @@ func (e *Engine) Run(entry string) *Result {
 		SATClauses:       e.satClauses,
 		AbsintDischarged: e.absDischarged,
 		AbsintBits:       e.absBits,
+		Portfolio:        e.sol.PortfolioStats(),
 		Elapsed:          time.Since(e.start),
 		PCSize:           len(e.pc),
 		GraphNodes:       e.b.NumNodes(),

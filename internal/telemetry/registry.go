@@ -9,10 +9,10 @@
 // overhead budget (paper §2); a system with that posture must be able
 // to watch itself. Every layer of the reconstruction loop — fleet
 // ingest/triage, the per-bucket core pipelines, shepherded symbolic
-// execution, the incremental solver sessions, and the trace archive —
-// registers its counters here under the `er_<pkg>_<name>` naming
-// scheme instead of (or in addition to) its bespoke one-shot stats
-// structs, which remain as thin compatibility views.
+// execution, and the trace archive — registers its counters here
+// under the `er_<pkg>_<name>` naming scheme instead of (or in addition
+// to) its bespoke one-shot stats structs, which remain as thin
+// compatibility views.
 //
 // The registry is cheap by construction: metric lookup is two RLocks
 // on a name-sharded table, and every mutation on the hot path is a
@@ -110,10 +110,13 @@ type series struct {
 	fbits atomic.Uint64
 	fn    func() float64
 
-	// histogram state (KindHistogram).
+	// histogram state (KindHistogram). hmin/hmax hold the observed
+	// extremes as float bits (+Inf/-Inf until the first sample).
 	hcounts []atomic.Int64 // one per bound, overflow bucket last
 	hsum    atomic.Uint64  // float bits, CAS-accumulated
 	hcount  atomic.Int64
+	hmin    atomic.Uint64
+	hmax    atomic.Uint64
 }
 
 // New returns an empty registry.
@@ -179,6 +182,8 @@ func (r *Registry) getOrCreate(name, help string, kind Kind, bounds []float64, l
 	if fam.kind == KindHistogram {
 		s.bounds = fam.bounds
 		s.hcounts = make([]atomic.Int64, len(fam.bounds)+1)
+		s.hmin.Store(math.Float64bits(math.Inf(1)))
+		s.hmax.Store(math.Float64bits(math.Inf(-1)))
 	}
 	fam.series[key] = s
 	fam.ordered = append(fam.ordered, s)
@@ -346,6 +351,10 @@ func (h *Histogram) Observe(v float64) {
 		return
 	}
 	s := (*series)(h)
+	// Extremes first: a snapshot that sees this sample counted then
+	// also sees it bound the quantile clamp.
+	casExtreme(&s.hmin, v, func(old float64) bool { return v < old })
+	casExtreme(&s.hmax, v, func(old float64) bool { return v > old })
 	// Find the first bound >= v. Bucket ladders are short (<= 64);
 	// linear scan beats binary search at these sizes and keeps the
 	// code branch-predictable.
@@ -362,6 +371,17 @@ func (h *Histogram) Observe(v float64) {
 		old := s.hsum.Load()
 		next := math.Float64bits(math.Float64frombits(old) + v)
 		if s.hsum.CompareAndSwap(old, next) {
+			return
+		}
+	}
+}
+
+// casExtreme stores v into the float bits at p while better(current)
+// holds.
+func casExtreme(p *atomic.Uint64, v float64, better func(old float64) bool) {
+	for {
+		old := p.Load()
+		if !better(math.Float64frombits(old)) || p.CompareAndSwap(old, math.Float64bits(v)) {
 			return
 		}
 	}
@@ -401,6 +421,10 @@ func (h *Histogram) Snapshot() HistSnapshot {
 	if cum > hs.Count {
 		hs.Count = cum
 	}
+	if hs.Count > 0 {
+		hs.Min = math.Float64frombits(s.hmin.Load())
+		hs.Max = math.Float64frombits(s.hmax.Load())
+	}
 	return hs
 }
 
@@ -413,15 +437,26 @@ type HistSnapshot struct {
 	Counts []int64   // per-bucket counts, overflow bucket last
 	Count  int64
 	Sum    float64
+	// Min/Max are the smallest and largest samples observed (zero on
+	// an empty histogram).
+	Min float64
+	Max float64
 }
 
 // Quantile estimates the q-quantile (0 < q < 1) by linear
 // interpolation within the owning bucket; the overflow bucket reports
-// its lower bound. Returns 0 on an empty histogram.
+// its lower bound. The estimate is clamped to the observed [Min, Max],
+// so it never reports a value no sample reached. Returns 0 on an empty
+// histogram.
 func (hs HistSnapshot) Quantile(q float64) float64 {
 	if hs.Count == 0 || len(hs.Counts) == 0 {
 		return 0
 	}
+	return math.Min(math.Max(hs.bucketQuantile(q), hs.Min), hs.Max)
+}
+
+// bucketQuantile is Quantile before clamping.
+func (hs HistSnapshot) bucketQuantile(q float64) float64 {
 	rank := q * float64(hs.Count)
 	var cum float64
 	lower := 0.0

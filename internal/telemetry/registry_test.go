@@ -113,6 +113,40 @@ func TestHistogramBucketsAndQuantiles(t *testing.T) {
 	}
 }
 
+// TestQuantileClampsToObservedRange is the regression test for
+// quantiles above every observed sample: bucket interpolation placed a
+// lone 11.9 s shepherd sample's p99 near the top of its (6.6 s, 19.7 s]
+// bucket. Estimates must stay inside the observed [min, max].
+func TestQuantileClampsToObservedRange(t *testing.T) {
+	r := New()
+	h := r.Histogram("er_test_shepherd_seconds", "", nil)
+	h.Observe(11.9)
+	hs := h.Snapshot()
+	if hs.Min != 11.9 || hs.Max != 11.9 {
+		t.Fatalf("min/max = %v/%v, want 11.9/11.9", hs.Min, hs.Max)
+	}
+	for _, q := range []float64{0.01, 0.5, 0.9, 0.99} {
+		if got := hs.Quantile(q); got != 11.9 {
+			t.Errorf("p%v = %v from a single 11.9 s sample", q*100, got)
+		}
+	}
+
+	// A spread of samples: every quantile lies within [min, max].
+	h = r.Histogram("er_test_spread_seconds", "", nil)
+	for _, v := range []float64{0.3, 0.4, 2.5, 7, 11.9} {
+		h.Observe(v)
+	}
+	hs = h.Snapshot()
+	for _, q := range []float64{0.01, 0.5, 0.9, 0.99} {
+		if got := hs.Quantile(q); got < 0.3 || got > 11.9 {
+			t.Errorf("p%v = %v outside the observed [0.3, 11.9]", q*100, got)
+		}
+	}
+	if empty := r.Histogram("er_test_empty_seconds", "", nil).Snapshot(); empty.Min != 0 || empty.Max != 0 || empty.Quantile(0.5) != 0 {
+		t.Errorf("empty histogram: %+v", empty)
+	}
+}
+
 func TestObserveDurationClampsNegative(t *testing.T) {
 	r := New()
 	h := r.Histogram("er_test_neg_seconds", "", []float64{1})
