@@ -58,9 +58,12 @@ func TestFig5Shape(t *testing.T) {
 		t.Errorf("iteration-1 data did not speed up symex: %v vs %v",
 			r.Series[0].Total, r.Series[1].Total)
 	}
-	if !(r.Series[1].Total > r.Series[2].Total) {
-		t.Errorf("iteration-2 data did not speed up symex: %v vs %v",
-			r.Series[1].Total, r.Series[2].Total)
+	// Generations 1 and 2 each take a few milliseconds, too close for
+	// one wall-clock sample to order reliably, so their speedup is
+	// checked on the solver work, which is deterministic.
+	if !(r.Series[1].SolverSteps > r.Series[2].SolverSteps) {
+		t.Errorf("iteration-2 data did not cut solver work: %d vs %d steps",
+			r.Series[1].SolverSteps, r.Series[2].SolverSteps)
 	}
 	if r.Series[0].Total < r.Series[2].Total*5 {
 		t.Errorf("speedup not substantial: %v -> %v", r.Series[0].Total, r.Series[2].Total)

@@ -23,6 +23,9 @@ type Fig5Series struct {
 	// Total is the wall time to execute the full instruction count.
 	Total  time.Duration
 	Instrs int64
+	// SolverSteps is the solver work the run took, the deterministic
+	// part of Total.
+	SolverSteps int64
 }
 
 // Fig5Result carries the three curves of Fig. 5 (no data values,
@@ -89,49 +92,29 @@ func RunFig5(appName string) (*Fig5Result, error) {
 		"control-flow + 2nd iteration data values",
 	}
 	// Solver timeout disabled (§5.2): every configuration executes
-	// the same instructions to completion. The work per configuration
-	// is deterministic, but the later generations finish in
-	// single-digit milliseconds, where one scheduling hiccup or a
-	// garbage collection left over from the previous (far larger)
-	// run dwarfs the real difference. So each configuration is
-	// measured several times after a forced collection, with the
-	// repetitions interleaved across configurations so a slow spell
-	// on the machine hits all of them alike, and the fastest run is
-	// kept: the standard noise-robust estimator for fixed work.
-	const reps = 5
-	type recording struct {
-		trace   *pt.Trace
-		failure *vm.Failure
-	}
-	recs := make([]recording, len(modules))
+	// the same instructions to completion, so the solver steps each
+	// takes are deterministic. The later generations finish in a few
+	// milliseconds, where one scheduling hiccup or a garbage collection
+	// left over from the previous (far larger) run can dwarf their
+	// difference in time; the solver steps show it exactly. Each
+	// configuration runs once, after a forced collection.
+	res := &Fig5Result{App: a.Name}
 	for i, m := range modules {
 		trace, failRes, err := record(m, a.Failing(), a.Seed)
 		if err != nil {
 			return nil, err
 		}
-		recs[i] = recording{trace, failRes.Failure}
-	}
-	best := make([]*symex.Result, len(modules))
-	for rep := 0; rep < reps; rep++ {
-		for i, m := range modules {
-			runtime.GC()
-			eng := symex.New(m, recs[i].trace, recs[i].failure, symex.Options{ProgressEvery: 64})
-			sres := eng.Run("main")
-			if sres.Status != symex.StatusCompleted {
-				return nil, fmt.Errorf("bench: fig5 generation %d: %v (%v)", i, sres.Status, sres.Err)
-			}
-			if best[i] == nil || sres.Stats.Elapsed < best[i].Stats.Elapsed {
-				best[i] = sres
-			}
+		runtime.GC()
+		sres := symex.New(m, trace, failRes.Failure, symex.Options{ProgressEvery: 64}).Run("main")
+		if sres.Status != symex.StatusCompleted {
+			return nil, fmt.Errorf("bench: fig5 generation %d: %v (%v)", i, sres.Status, sres.Err)
 		}
-	}
-	res := &Fig5Result{App: a.Name}
-	for i, b := range best {
 		res.Series = append(res.Series, Fig5Series{
-			Label:  labels[i],
-			Points: b.Progress,
-			Total:  b.Stats.Elapsed,
-			Instrs: b.Stats.Instrs,
+			Label:       labels[i],
+			Points:      sres.Progress,
+			Total:       sres.Stats.Elapsed,
+			Instrs:      sres.Stats.Instrs,
+			SolverSteps: sres.Stats.SolverSteps,
 		})
 	}
 	return res, nil
@@ -158,8 +141,8 @@ func record(mod *ir.Module, w *vm.Workload, seed int64) (*pt.Trace, *vm.Result, 
 func RenderFig5(w io.Writer, r *Fig5Result) {
 	fmt.Fprintf(w, "Fig 5 — shepherded symbolic execution progress, %s\n", r.App)
 	for _, s := range r.Series {
-		fmt.Fprintf(w, "%-45s total %10v for %d instructions\n",
-			s.Label, s.Total.Round(time.Microsecond), s.Instrs)
+		fmt.Fprintf(w, "%-45s total %10v for %d instructions, %d solver steps\n",
+			s.Label, s.Total.Round(time.Microsecond), s.Instrs, s.SolverSteps)
 	}
 	fmt.Fprintln(w, "\nseries,instructions,milliseconds")
 	for si, s := range r.Series {

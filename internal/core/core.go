@@ -225,14 +225,28 @@ func Reproduce(cfg Config) (*Report, error) {
 		return nil, err
 	}
 	waitHist := StageHistogram(cfg.Telemetry, "wait")
+	decodeHist := StageHistogram(cfg.Telemetry, "decode")
 	for !p.Done() {
-		// The reoccurrence wait is driver time, not pipeline time, so
-		// Reproduce owns the span and the stage sample.
+		// The reoccurrence wait and the trace decode that ends it are
+		// driver time, not pipeline time, so Reproduce owns their spans
+		// and stage samples. The source times the decode, the last
+		// thing Next does; the wait is the rest of the call, and the
+		// decode span follows it.
 		wSpan := p.Span().Child("reoccurrence-wait")
 		waitStart := time.Now()
 		occ, err := src.Next(p.Request())
-		waitHist.Observe(time.Since(waitStart).Seconds())
-		wSpan.End()
+		wait := time.Since(waitStart)
+		var decode time.Duration
+		if occ != nil {
+			decode = occ.Decode
+		}
+		wait -= decode
+		waitHist.Observe(wait.Seconds())
+		wSpan.EndAfter(wait)
+		if decode > 0 {
+			decodeHist.Observe(decode.Seconds())
+			p.Span().ChildDone("decode", decode)
+		}
 		if err != nil {
 			p.rep.FailReason = err.Error()
 			p.Abort(err.Error())

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"time"
 
 	"execrecon/internal/ir"
 	"execrecon/internal/pt"
@@ -26,6 +27,9 @@ type Occurrence struct {
 	Events pt.EventSource
 	Result *vm.Result
 	Seed   int64
+	// Decode is the time the source spent decoding Trace, zero when
+	// it decoded none. Reproduce reports it as the decode stage.
+	Decode time.Duration
 }
 
 // traced reports whether the occurrence carries trace data in either
@@ -117,14 +121,16 @@ func (g *GenSource) Next(req SourceRequest) (*Occurrence, error) {
 			continue // a different bug; keep waiting for ours
 		}
 		enc.Finish()
+		decodeStart := time.Now()
 		trace, err := pt.Decode(ring)
+		decode := time.Since(decodeStart)
 		if err != nil {
 			return nil, fmt.Errorf("core: trace decode: %w", err)
 		}
 		if trace.Truncated {
 			return nil, fmt.Errorf("core: trace ring overflowed (%d bytes lost); increase RingSize", trace.LostBytes)
 		}
-		return &Occurrence{Trace: trace, Result: res, Seed: seed}, nil
+		return &Occurrence{Trace: trace, Result: res, Seed: seed, Decode: decode}, nil
 	}
 	return nil, fmt.Errorf("core: failure did not reoccur within %d runs", maxRuns)
 }

@@ -173,7 +173,8 @@ func newPipelineTelemetry(reg *telemetry.Registry) *pipelineTelemetry {
 // Span returns the pipeline's root reconstruction span (nil without
 // Config.Tracer). Drivers attach their own stage children to it —
 // the fleet scheduler adds ingest/decode spans, Reproduce adds
-// reoccurrence-wait spans — so one tree tells the whole story.
+// reoccurrence-wait and decode spans — so one tree tells the whole
+// story.
 func (p *Pipeline) Span() *telemetry.Span { return p.root }
 
 // endRoot closes the root span with the session verdict; idempotent

@@ -192,6 +192,65 @@ func TestPipelineTelemetry(t *testing.T) {
 	}
 }
 
+// TestReproduceRecordsDecodeStage checks that a traced Reproduce
+// reports the trace decode its source performs: one
+// er_core_stage_seconds{stage="decode"} sample and one "decode" span
+// after the reoccurrence-wait span per decoded trace.
+func TestReproduceRecordsDecodeStage(t *testing.T) {
+	mod := compile(t, chainSrc)
+	reg := telemetry.New()
+	tr := telemetry.NewTracer(4)
+	rep, err := core.Reproduce(core.Config{
+		Module:    mod,
+		Gen:       &core.FixedWorkload{Workload: chainWorkload(), Seed: 1},
+		Symex:     symex.Options{QueryBudget: 30_000},
+		Telemetry: reg,
+		Tracer:    tr,
+	})
+	if err != nil {
+		t.Fatalf("reproduce: %v", err)
+	}
+	if !rep.Reproduced {
+		t.Fatalf("report: %+v", rep)
+	}
+	samples := stageCount(t, reg, "decode")
+	if samples == 0 {
+		t.Fatal(`er_core_stage_seconds{stage="decode"} has no sample after a traced Reproduce`)
+	}
+	roots := tr.Recent()
+	if len(roots) != 1 {
+		t.Fatalf("recent roots = %d, want 1", len(roots))
+	}
+	// Each decode span follows its reoccurrence-wait span, where the
+	// decode ran at the end of the source's Next, and ends before the
+	// next stage starts.
+	var spans int64
+	kids := roots[0].Children
+	for i, c := range kids {
+		if c.Name != "decode" {
+			continue
+		}
+		spans++
+		if i == 0 || kids[i-1].Name != "reoccurrence-wait" {
+			t.Fatalf("decode span %d does not follow a reoccurrence-wait span", i)
+		}
+		if waitEnd := kids[i-1].Start.Add(kids[i-1].Duration); c.Start.Before(waitEnd) {
+			t.Errorf("decode span %d starts %v before its wait window ends", i, waitEnd.Sub(c.Start))
+		}
+		if i+1 < len(kids) {
+			if end := c.Start.Add(c.Duration); end.After(kids[i+1].Start) {
+				t.Errorf("decode span %d overlaps the next stage %q by %v", i, kids[i+1].Name, end.Sub(kids[i+1].Start))
+			}
+		}
+	}
+	if spans != samples {
+		t.Errorf("decode spans = %d, decode samples = %d", spans, samples)
+	}
+	if samples > int64(rep.Occurrences) {
+		t.Errorf("decode samples = %d, more than the %d occurrences", samples, rep.Occurrences)
+	}
+}
+
 // TestPipelineNoTelemetry checks the nil-telemetry path stays a
 // no-op: no registry, no tracer, identical outcome.
 func TestPipelineNoTelemetry(t *testing.T) {

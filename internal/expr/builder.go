@@ -7,18 +7,27 @@ import (
 
 // Builder creates interned, locally simplified expression nodes. A
 // Builder is not safe for concurrent use.
+//
+// The intern table maps a node's structural hash to the most recently
+// interned node with that hash; nodes whose hashes collide are chained
+// through Expr.next. Looking up an existing node allocates nothing,
+// and interning a new one allocates exactly once: the node and its
+// argument array share one object (see newNode).
 type Builder struct {
-	seed    maphash.Seed
-	table   map[uint64][]*Expr
+	seed    maphash.Seed // hashes variable names
+	salt    uint64       // start of every node hash
+	table   map[uint64]*Expr
 	nextID  uint64
 	created int
 }
 
 // NewBuilder returns an empty Builder.
 func NewBuilder() *Builder {
+	seed := maphash.MakeSeed()
 	return &Builder{
-		seed:  maphash.MakeSeed(),
-		table: make(map[uint64][]*Expr),
+		seed:  seed,
+		salt:  maphash.String(seed, "expr"),
+		table: make(map[uint64]*Expr),
 	}
 }
 
@@ -26,57 +35,99 @@ func NewBuilder() *Builder {
 // interned, a proxy for constraint state size (§5.3).
 func (b *Builder) NumNodes() int { return b.created }
 
-func (b *Builder) hashNode(e *Expr) uint64 {
-	var h maphash.Hash
-	h.SetSeed(b.seed)
-	h.WriteByte(byte(e.Kind))
-	var buf [8]byte
-	put := func(v uint64) {
-		for i := 0; i < 8; i++ {
-			buf[i] = byte(v >> (8 * i))
-		}
-		h.Write(buf[:])
-	}
-	put(uint64(e.Width))
-	put(uint64(e.IdxWidth))
-	put(e.Val)
-	put(uint64(e.Lo))
-	h.WriteString(e.Name)
-	for _, a := range e.Args {
-		put(a.id)
-	}
-	return h.Sum64()
+// mixWord folds v into the running hash h with a multiply-xor step.
+func mixWord(h, v uint64) uint64 {
+	h = (h ^ v) * 0x9E3779B97F4A7C15
+	return h ^ h>>32
 }
 
-func nodeEqual(a, c *Expr) bool {
-	if a.Kind != c.Kind || a.Width != c.Width || a.IdxWidth != c.IdxWidth ||
-		a.Val != c.Val || a.Lo != c.Lo || a.Name != c.Name ||
-		len(a.Args) != len(c.Args) {
+// hashNode hashes the node e with operands args. The kind, the widths
+// and Lo (each below 2^8) share one word; Val and each argument's id
+// follow; only a variable's name goes through maphash. The hash is
+// seeded per Builder, so nothing may depend on its value.
+func (b *Builder) hashNode(e *Expr, args []*Expr) uint64 {
+	h := mixWord(b.salt, uint64(e.Kind)|uint64(e.Width)<<8|uint64(e.IdxWidth)<<16|uint64(e.Lo)<<24|uint64(len(args))<<32)
+	h = mixWord(h, e.Val)
+	if e.Name != "" {
+		h = mixWord(h, maphash.String(b.seed, e.Name))
+	}
+	for _, a := range args {
+		h = mixWord(h, a.id)
+	}
+	return h
+}
+
+// nodeEqual reports whether c is the node e with operands args.
+func nodeEqual(e *Expr, args []*Expr, c *Expr) bool {
+	if e.Kind != c.Kind || e.Width != c.Width || e.IdxWidth != c.IdxWidth ||
+		e.Val != c.Val || e.Lo != c.Lo || e.Name != c.Name ||
+		len(args) != len(c.Args) {
 		return false
 	}
-	for i := range a.Args {
-		if a.Args[i] != c.Args[i] {
+	for i := range args {
+		if args[i] != c.Args[i] {
 			return false
 		}
 	}
 	return true
 }
 
-// intern returns the canonical node for e, creating it if needed.
-func (b *Builder) intern(e Expr) *Expr {
-	h := b.hashNode(&e)
-	for _, c := range b.table[h] {
-		if nodeEqual(&e, c) {
+// Nodes with operands are allocated together with their argument
+// array, so a new node costs one allocation.
+type (
+	node1 struct {
+		e    Expr
+		args [1]*Expr
+	}
+	node2 struct {
+		e    Expr
+		args [2]*Expr
+	}
+	node3 struct {
+		e    Expr
+		args [3]*Expr
+	}
+)
+
+// newNode returns a heap copy of e with operands args. Only args'
+// elements are stored, so a caller's args array may live on its stack.
+func newNode(e *Expr, args []*Expr) *Expr {
+	switch len(args) {
+	case 0:
+		n := new(Expr)
+		*n = *e
+		return n
+	case 1:
+		n := &node1{e: *e}
+		n.e.Args = n.args[:copy(n.args[:], args)]
+		return &n.e
+	case 2:
+		n := &node2{e: *e}
+		n.e.Args = n.args[:copy(n.args[:], args)]
+		return &n.e
+	default: // the builder's nodes have at most three operands
+		n := &node3{e: *e}
+		n.e.Args = n.args[:copy(n.args[:], args)]
+		return &n.e
+	}
+}
+
+// intern returns the canonical node for e (whose Args are ignored)
+// with operands args, creating it if needed.
+func (b *Builder) intern(e Expr, args ...*Expr) *Expr {
+	h := b.hashNode(&e, args)
+	head := b.table[h]
+	for c := head; c != nil; c = c.next {
+		if nodeEqual(&e, args, c) {
 			return c
 		}
 	}
-	n := new(Expr)
-	*n = e
-	n.hash = h
+	n := newNode(&e, args)
+	n.next = head
 	b.nextID++
 	n.id = b.nextID
 	b.created++
-	b.table[h] = append(b.table[h], n)
+	b.table[h] = n
 	return n
 }
 
@@ -123,7 +174,7 @@ func (b *Builder) ArrayVar(name string, idxW, w uint) *Expr {
 // ConstArray returns an array whose every element equals elem.
 func (b *Builder) ConstArray(elem *Expr, idxW uint) *Expr {
 	checkWidth(idxW)
-	return b.intern(Expr{Kind: KConstArray, Width: elem.Width, IdxWidth: idxW, Args: []*Expr{elem}})
+	return b.intern(Expr{Kind: KConstArray, Width: elem.Width, IdxWidth: idxW}, elem)
 }
 
 func binWidthCheck(op Kind, x, y *Expr) {
@@ -172,7 +223,7 @@ func (b *Builder) Add(x, y *Expr) *Expr {
 	if x.IsConst() {
 		x, y = y, x
 	}
-	return b.intern(Expr{Kind: KAdd, Width: x.Width, Args: []*Expr{x, y}})
+	return b.intern(Expr{Kind: KAdd, Width: x.Width}, x, y)
 }
 
 // Sub returns x-y.
@@ -187,7 +238,7 @@ func (b *Builder) Sub(x, y *Expr) *Expr {
 	if x == y {
 		return b.Const(0, x.Width)
 	}
-	return b.intern(Expr{Kind: KSub, Width: x.Width, Args: []*Expr{x, y}})
+	return b.intern(Expr{Kind: KSub, Width: x.Width}, x, y)
 }
 
 // Mul returns x*y.
@@ -208,7 +259,7 @@ func (b *Builder) Mul(x, y *Expr) *Expr {
 		}
 	}
 	x, y = orderComm(x, y)
-	return b.intern(Expr{Kind: KMul, Width: x.Width, Args: []*Expr{x, y}})
+	return b.intern(Expr{Kind: KMul, Width: x.Width}, x, y)
 }
 
 // UDiv returns the unsigned quotient x/y, with x/0 = all-ones
@@ -224,7 +275,7 @@ func (b *Builder) UDiv(x, y *Expr) *Expr {
 	if y.IsConst() && y.Val == 1 {
 		return x
 	}
-	return b.intern(Expr{Kind: KUDiv, Width: x.Width, Args: []*Expr{x, y}})
+	return b.intern(Expr{Kind: KUDiv, Width: x.Width}, x, y)
 }
 
 // URem returns the unsigned remainder, with x%0 = x (SMT-LIB).
@@ -239,7 +290,7 @@ func (b *Builder) URem(x, y *Expr) *Expr {
 	if y.IsConst() && y.Val == 1 {
 		return b.Const(0, x.Width)
 	}
-	return b.intern(Expr{Kind: KURem, Width: x.Width, Args: []*Expr{x, y}})
+	return b.intern(Expr{Kind: KURem, Width: x.Width}, x, y)
 }
 
 // SDiv returns the signed quotient (truncated), with x/0 defined as in
@@ -259,7 +310,7 @@ func (b *Builder) SDiv(x, y *Expr) *Expr {
 		}
 		return b.Const(uint64(xv/yv), x.Width)
 	}
-	return b.intern(Expr{Kind: KSDiv, Width: x.Width, Args: []*Expr{x, y}})
+	return b.intern(Expr{Kind: KSDiv, Width: x.Width}, x, y)
 }
 
 // SRem returns the signed remainder (sign of dividend), x%0 = x.
@@ -275,7 +326,7 @@ func (b *Builder) SRem(x, y *Expr) *Expr {
 		}
 		return b.Const(uint64(xv%yv), x.Width)
 	}
-	return b.intern(Expr{Kind: KSRem, Width: x.Width, Args: []*Expr{x, y}})
+	return b.intern(Expr{Kind: KSRem, Width: x.Width}, x, y)
 }
 
 // And returns the bitwise conjunction.
@@ -299,7 +350,7 @@ func (b *Builder) And(x, y *Expr) *Expr {
 		return x
 	}
 	x, y = orderComm(x, y)
-	return b.intern(Expr{Kind: KAnd, Width: x.Width, Args: []*Expr{x, y}})
+	return b.intern(Expr{Kind: KAnd, Width: x.Width}, x, y)
 }
 
 // Or returns the bitwise disjunction.
@@ -323,7 +374,7 @@ func (b *Builder) Or(x, y *Expr) *Expr {
 		return x
 	}
 	x, y = orderComm(x, y)
-	return b.intern(Expr{Kind: KOr, Width: x.Width, Args: []*Expr{x, y}})
+	return b.intern(Expr{Kind: KOr, Width: x.Width}, x, y)
 }
 
 // Xor returns the bitwise exclusive or.
@@ -342,7 +393,7 @@ func (b *Builder) Xor(x, y *Expr) *Expr {
 		return b.Const(0, x.Width)
 	}
 	x, y = orderComm(x, y)
-	return b.intern(Expr{Kind: KXor, Width: x.Width, Args: []*Expr{x, y}})
+	return b.intern(Expr{Kind: KXor, Width: x.Width}, x, y)
 }
 
 // Not returns the bitwise complement.
@@ -353,7 +404,7 @@ func (b *Builder) Not(x *Expr) *Expr {
 	if x.Kind == KNot {
 		return x.Args[0]
 	}
-	return b.intern(Expr{Kind: KNot, Width: x.Width, Args: []*Expr{x}})
+	return b.intern(Expr{Kind: KNot, Width: x.Width}, x)
 }
 
 // Neg returns the two's-complement negation.
@@ -364,7 +415,7 @@ func (b *Builder) Neg(x *Expr) *Expr {
 	if x.Kind == KNeg {
 		return x.Args[0]
 	}
-	return b.intern(Expr{Kind: KNeg, Width: x.Width, Args: []*Expr{x}})
+	return b.intern(Expr{Kind: KNeg, Width: x.Width}, x)
 }
 
 // Shl returns x shifted left by y; shifts ≥ width yield zero.
@@ -381,7 +432,7 @@ func (b *Builder) Shl(x, y *Expr) *Expr {
 			return b.Const(x.Val<<y.Val, x.Width)
 		}
 	}
-	return b.intern(Expr{Kind: KShl, Width: x.Width, Args: []*Expr{x, y}})
+	return b.intern(Expr{Kind: KShl, Width: x.Width}, x, y)
 }
 
 // LShr returns the logical right shift.
@@ -398,7 +449,7 @@ func (b *Builder) LShr(x, y *Expr) *Expr {
 			return b.Const(Truncate(x.Val, x.Width)>>y.Val, x.Width)
 		}
 	}
-	return b.intern(Expr{Kind: KLShr, Width: x.Width, Args: []*Expr{x, y}})
+	return b.intern(Expr{Kind: KLShr, Width: x.Width}, x, y)
 }
 
 // AShr returns the arithmetic right shift.
@@ -416,7 +467,7 @@ func (b *Builder) AShr(x, y *Expr) *Expr {
 			return b.Const(uint64(SignExtendValue(x.Val, x.Width)>>sh), x.Width)
 		}
 	}
-	return b.intern(Expr{Kind: KAShr, Width: x.Width, Args: []*Expr{x, y}})
+	return b.intern(Expr{Kind: KAShr, Width: x.Width}, x, y)
 }
 
 // Eq returns the 1-bit equality x == y. Arrays may not be compared.
@@ -445,7 +496,7 @@ func (b *Builder) Eq(x, y *Expr) *Expr {
 		}
 	}
 	x, y = orderComm(x, y)
-	return b.intern(Expr{Kind: KEq, Width: 1, Args: []*Expr{x, y}})
+	return b.intern(Expr{Kind: KEq, Width: 1}, x, y)
 }
 
 // Ne returns the 1-bit disequality.
@@ -463,7 +514,7 @@ func (b *Builder) Ult(x, y *Expr) *Expr {
 	if y.IsConst() && y.Val == 0 {
 		return b.False()
 	}
-	return b.intern(Expr{Kind: KUlt, Width: 1, Args: []*Expr{x, y}})
+	return b.intern(Expr{Kind: KUlt, Width: 1}, x, y)
 }
 
 // Ule returns the 1-bit unsigned less-or-equal.
@@ -478,7 +529,7 @@ func (b *Builder) Ule(x, y *Expr) *Expr {
 	if x.IsConst() && x.Val == 0 {
 		return b.True()
 	}
-	return b.intern(Expr{Kind: KUle, Width: 1, Args: []*Expr{x, y}})
+	return b.intern(Expr{Kind: KUle, Width: 1}, x, y)
 }
 
 // Slt returns the 1-bit signed less-than.
@@ -490,7 +541,7 @@ func (b *Builder) Slt(x, y *Expr) *Expr {
 	if x == y {
 		return b.False()
 	}
-	return b.intern(Expr{Kind: KSlt, Width: 1, Args: []*Expr{x, y}})
+	return b.intern(Expr{Kind: KSlt, Width: 1}, x, y)
 }
 
 // Sle returns the 1-bit signed less-or-equal.
@@ -502,7 +553,7 @@ func (b *Builder) Sle(x, y *Expr) *Expr {
 	if x == y {
 		return b.True()
 	}
-	return b.intern(Expr{Kind: KSle, Width: 1, Args: []*Expr{x, y}})
+	return b.intern(Expr{Kind: KSle, Width: 1}, x, y)
 }
 
 // Ugt, Uge, Sgt, Sge are the flipped comparison helpers.
@@ -559,7 +610,7 @@ func (b *Builder) Ite(cond, x, y *Expr) *Expr {
 	if x.Width == 1 && !x.IsArray() {
 		return b.BoolOr(b.BoolAnd(cond, x), b.BoolAnd(b.BoolNot(cond), y))
 	}
-	return b.intern(Expr{Kind: KIte, Width: x.Width, IdxWidth: x.IdxWidth, Args: []*Expr{cond, x, y}})
+	return b.intern(Expr{Kind: KIte, Width: x.Width, IdxWidth: x.IdxWidth}, cond, x, y)
 }
 
 // Concat returns hi ∘ lo, the (hi.Width+lo.Width)-bit concatenation.
@@ -569,7 +620,7 @@ func (b *Builder) Concat(hi, lo *Expr) *Expr {
 	if hi.IsConst() && lo.IsConst() {
 		return b.Const(hi.Val<<lo.Width|Truncate(lo.Val, lo.Width), w)
 	}
-	return b.intern(Expr{Kind: KConcat, Width: w, Args: []*Expr{hi, lo}})
+	return b.intern(Expr{Kind: KConcat, Width: w}, hi, lo)
 }
 
 // Extract returns bits [lo, lo+w) of x.
@@ -600,7 +651,7 @@ func (b *Builder) Extract(x *Expr, lo, w uint) *Expr {
 	if x.Kind == KZExt && lo+w <= x.Args[0].Width {
 		return b.Extract(x.Args[0], lo, w)
 	}
-	return b.intern(Expr{Kind: KExtract, Width: w, Lo: lo, Args: []*Expr{x}})
+	return b.intern(Expr{Kind: KExtract, Width: w, Lo: lo}, x)
 }
 
 // ZExt zero-extends x to w bits.
@@ -618,7 +669,7 @@ func (b *Builder) ZExt(x *Expr, w uint) *Expr {
 	if x.Kind == KZExt {
 		return b.ZExt(x.Args[0], w)
 	}
-	return b.intern(Expr{Kind: KZExt, Width: w, Args: []*Expr{x}})
+	return b.intern(Expr{Kind: KZExt, Width: w}, x)
 }
 
 // SExt sign-extends x to w bits.
@@ -633,7 +684,7 @@ func (b *Builder) SExt(x *Expr, w uint) *Expr {
 	if x.IsConst() {
 		return b.Const(uint64(SignExtendValue(x.Val, x.Width)), w)
 	}
-	return b.intern(Expr{Kind: KSExt, Width: w, Args: []*Expr{x}})
+	return b.intern(Expr{Kind: KSExt, Width: w}, x)
 }
 
 // Select returns array[idx].
@@ -665,7 +716,7 @@ func (b *Builder) Select(arr, idx *Expr) *Expr {
 		}
 		break
 	}
-	return b.intern(Expr{Kind: KSelect, Width: arr.Width, Args: []*Expr{cur, idx}})
+	return b.intern(Expr{Kind: KSelect, Width: arr.Width}, cur, idx)
 }
 
 // Store returns arr with idx mapped to val.
@@ -680,5 +731,5 @@ func (b *Builder) Store(arr, idx, val *Expr) *Expr {
 	if arr.Kind == KStore && arr.Args[1] == idx {
 		return b.Store(arr.Args[0], idx, val)
 	}
-	return b.intern(Expr{Kind: KStore, Width: arr.Width, IdxWidth: arr.IdxWidth, Args: []*Expr{arr, idx, val}})
+	return b.intern(Expr{Kind: KStore, Width: arr.Width, IdxWidth: arr.IdxWidth}, arr, idx, val)
 }

@@ -114,7 +114,7 @@ type Expr struct {
 	Args []*Expr
 
 	id   uint64
-	hash uint64
+	next *Expr // next node in the builder's intern chain for the same hash
 }
 
 // ID returns a builder-unique identifier, useful as a map key where

@@ -18,6 +18,7 @@ type blaster struct {
 
 	bits map[*expr.Expr][]lit
 	vars map[string][]lit // expr var name -> bit literals
+	slab []lit            // backing store of the bit vectors (see vec)
 
 	// narrow, when set, pins variable bits the abstract interpreter
 	// proved constant for every model of the current query.
@@ -27,20 +28,74 @@ type blaster struct {
 	err error
 }
 
-func newBlaster(s *sat, budget *Budget) *blaster {
-	b := &blaster{
+// init readies b to blast into the freshly reset core s. The bits and
+// vars maps (cleared by releaseWorkspace) and the slab keep their
+// capacity.
+func (b *blaster) init(s *sat, budget *Budget) {
+	*b = blaster{
 		s:      s,
 		budget: budget,
-		bits:   make(map[*expr.Expr][]lit),
-		vars:   make(map[string][]lit),
+		bits:   b.bits,
+		vars:   b.vars,
+		slab:   b.slab[:0],
 	}
-	tv := s.newVar()
+	tv := b.s.newVar()
 	b.litTrue = mkLit(tv, false)
 	b.litFalse = b.litTrue.negate()
-	if !s.addClause([]lit{b.litTrue}) {
+	if !b.s.addClause([]lit{b.litTrue}) {
 		b.err = fmt.Errorf("solver: inconsistent true literal")
 	}
-	return b
+}
+
+// vec carves a w-literal vector from the slab. Its contents are stale:
+// callers assign every element. The vector's capacity is clipped to w,
+// so appending to it never overwrites a neighbour. When the slab runs
+// out, a larger one replaces it; vectors carved from the old slab keep
+// it alive until the query ends.
+func (b *blaster) vec(w int) []lit {
+	n := len(b.slab)
+	if n+w > cap(b.slab) {
+		c := max(2*cap(b.slab), 4096)
+		for c < w {
+			c *= 2
+		}
+		b.slab = make([]lit, 0, c)
+		n = 0
+	}
+	b.slab = b.slab[:n+w]
+	return b.slab[n : n+w : n+w]
+}
+
+// filled returns a w-literal vector with every element l.
+func (b *blaster) filled(w int, l lit) []lit {
+	out := b.vec(w)
+	for i := range out {
+		out[i] = l
+	}
+	return out
+}
+
+// negated returns the bitwise complement of x.
+func (b *blaster) negated(x []lit) []lit {
+	out := b.vec(len(x))
+	for i, l := range x {
+		out[i] = l.negate()
+	}
+	return out
+}
+
+// copied returns a copy of x.
+func (b *blaster) copied(x []lit) []lit {
+	out := b.vec(len(x))
+	copy(out, x)
+	return out
+}
+
+// one returns the single-literal vector [l].
+func (b *blaster) one(l lit) []lit {
+	out := b.vec(1)
+	out[0] = l
+	return out
 }
 
 func (b *blaster) constLit(v bool) lit {
@@ -160,7 +215,7 @@ func (b *blaster) fullAdder(x, y, cin lit) (lit, lit) {
 
 // addBits returns x + y (+1 if cin) over equal-length bit slices.
 func (b *blaster) addBits(x, y []lit, cin lit) []lit {
-	out := make([]lit, len(x))
+	out := b.vec(len(x))
 	c := cin
 	for i := range x {
 		out[i], c = b.fullAdder(x[i], y[i], c)
@@ -169,15 +224,7 @@ func (b *blaster) addBits(x, y []lit, cin lit) []lit {
 }
 
 func (b *blaster) negBits(x []lit) []lit {
-	inv := make([]lit, len(x))
-	for i, l := range x {
-		inv[i] = l.negate()
-	}
-	zero := make([]lit, len(x))
-	for i := range zero {
-		zero[i] = b.litFalse
-	}
-	return b.addBits(inv, zero, b.litTrue)
+	return b.addBits(b.negated(x), b.filled(len(x), b.litFalse), b.litTrue)
 }
 
 // ultBits returns the literal for unsigned x < y.
@@ -208,7 +255,7 @@ func (b *blaster) orAll(ls []lit) lit {
 }
 
 func (b *blaster) muxBits(c lit, x, y []lit) []lit {
-	out := make([]lit, len(x))
+	out := b.vec(len(x))
 	for i := range x {
 		out[i] = b.gateMux(c, x[i], y[i])
 	}
@@ -217,13 +264,7 @@ func (b *blaster) muxBits(c lit, x, y []lit) []lit {
 
 // dummy returns a placeholder bit slice used once an error is
 // recorded, so partially-blasted parents never index nil slices.
-func (b *blaster) dummy(w int) []lit {
-	out := make([]lit, w)
-	for i := range out {
-		out[i] = b.litFalse
-	}
-	return out
-}
+func (b *blaster) dummy(w int) []lit { return b.filled(w, b.litFalse) }
 
 // blast returns the bit literals (LSB first) for a pure bitvector
 // expression.
@@ -241,12 +282,9 @@ func (b *blaster) blast(e *expr.Expr) []lit {
 	var out []lit
 	switch e.Kind {
 	case expr.KConst:
-		out = make([]lit, w)
-		for i := 0; i < w; i++ {
-			out[i] = b.constLit(e.Val>>uint(i)&1 == 1)
-		}
+		out = b.constBits(e.Val, w)
 	case expr.KVar:
-		out = make([]lit, w)
+		out = b.vec(w)
 		nv, pin := b.narrow[e.Name]
 		for i := 0; i < w; i++ {
 			if pin && nv.Mask>>uint(i)&1 == 1 {
@@ -260,23 +298,16 @@ func (b *blaster) blast(e *expr.Expr) []lit {
 	case expr.KAdd:
 		out = b.addBits(b.blast(e.Args[0]), b.blast(e.Args[1]), b.litFalse)
 	case expr.KSub:
-		y := b.blast(e.Args[1])
-		inv := make([]lit, len(y))
-		for i, l := range y {
-			inv[i] = l.negate()
-		}
+		inv := b.negated(b.blast(e.Args[1]))
 		out = b.addBits(b.blast(e.Args[0]), inv, b.litTrue)
 	case expr.KNeg:
 		out = b.negBits(b.blast(e.Args[0]))
 	case expr.KMul:
 		x, y := b.blast(e.Args[0]), b.blast(e.Args[1])
-		acc := make([]lit, w)
-		for i := range acc {
-			acc[i] = b.litFalse
-		}
+		acc := b.filled(w, b.litFalse)
 		for i := 0; i < w; i++ {
 			// partial product: (x << i) & y_i
-			pp := make([]lit, w)
+			pp := b.vec(w)
 			for j := 0; j < w; j++ {
 				if j < i {
 					pp[j] = b.litFalse
@@ -291,7 +322,7 @@ func (b *blaster) blast(e *expr.Expr) []lit {
 		out = b.blastDiv(e)
 	case expr.KAnd, expr.KOr, expr.KXor:
 		x, y := b.blast(e.Args[0]), b.blast(e.Args[1])
-		out = make([]lit, w)
+		out = b.vec(w)
 		for i := 0; i < w; i++ {
 			switch e.Kind {
 			case expr.KAnd:
@@ -303,53 +334,44 @@ func (b *blaster) blast(e *expr.Expr) []lit {
 			}
 		}
 	case expr.KNot:
-		x := b.blast(e.Args[0])
-		out = make([]lit, w)
-		for i := range x {
-			out[i] = x[i].negate()
-		}
+		out = b.negated(b.blast(e.Args[0]))
 	case expr.KShl, expr.KLShr, expr.KAShr:
 		out = b.blastShift(e)
 	case expr.KEq:
-		out = []lit{b.eqBits(b.blast(e.Args[0]), b.blast(e.Args[1]))}
+		out = b.one(b.eqBits(b.blast(e.Args[0]), b.blast(e.Args[1])))
 	case expr.KUlt:
-		out = []lit{b.ultBits(b.blast(e.Args[0]), b.blast(e.Args[1]))}
+		out = b.one(b.ultBits(b.blast(e.Args[0]), b.blast(e.Args[1])))
 	case expr.KUle:
-		out = []lit{b.ultBits(b.blast(e.Args[1]), b.blast(e.Args[0])).negate()}
+		out = b.one(b.ultBits(b.blast(e.Args[1]), b.blast(e.Args[0])).negate())
 	case expr.KSlt, expr.KSle:
 		x, y := b.blast(e.Args[0]), b.blast(e.Args[1])
 		// Flip sign bits to map signed order onto unsigned order.
-		xf := append([]lit{}, x...)
-		yf := append([]lit{}, y...)
+		xf, yf := b.copied(x), b.copied(y)
 		xf[len(xf)-1] = x[len(x)-1].negate()
 		yf[len(yf)-1] = y[len(y)-1].negate()
 		if e.Kind == expr.KSlt {
-			out = []lit{b.ultBits(xf, yf)}
+			out = b.one(b.ultBits(xf, yf))
 		} else {
-			out = []lit{b.ultBits(yf, xf).negate()}
+			out = b.one(b.ultBits(yf, xf).negate())
 		}
 	case expr.KIte:
 		c := b.blast(e.Args[0])
 		out = b.muxBits(c[0], b.blast(e.Args[1]), b.blast(e.Args[2]))
 	case expr.KConcat:
 		hi, lo := b.blast(e.Args[0]), b.blast(e.Args[1])
-		out = append(append([]lit{}, lo...), hi...)
+		out = b.vec(w)
+		copy(out[copy(out, lo):], hi)
 	case expr.KExtract:
 		x := b.blast(e.Args[0])
-		out = append([]lit{}, x[e.Lo:e.Lo+e.Width]...)
+		out = b.copied(x[e.Lo : e.Lo+e.Width])
 	case expr.KZExt:
 		x := b.blast(e.Args[0])
-		out = append([]lit{}, x...)
-		for len(out) < w {
-			out = append(out, b.litFalse)
-		}
+		out = b.filled(w, b.litFalse)
+		copy(out, x)
 	case expr.KSExt:
 		x := b.blast(e.Args[0])
-		out = append([]lit{}, x...)
-		sign := x[len(x)-1]
-		for len(out) < w {
-			out = append(out, sign)
-		}
+		out = b.filled(w, x[len(x)-1])
+		copy(out, x)
 	default:
 		b.err = fmt.Errorf("solver: cannot bit-blast %s", e.Kind)
 		return b.dummy(w)
@@ -369,7 +391,7 @@ func (b *blaster) blastShift(e *expr.Expr) []lit {
 	if b.err != nil {
 		return b.dummy(w)
 	}
-	cur := append([]lit{}, x...)
+	cur := x
 	fill := b.litFalse
 	if e.Kind == expr.KAShr {
 		fill = x[w-1]
@@ -380,7 +402,7 @@ func (b *blaster) blastShift(e *expr.Expr) []lit {
 	}
 	for k := 0; k < stages; k++ {
 		amt := 1 << uint(k)
-		shifted := make([]lit, w)
+		shifted := b.vec(w)
 		for i := 0; i < w; i++ {
 			switch e.Kind {
 			case expr.KShl:
@@ -401,17 +423,8 @@ func (b *blaster) blastShift(e *expr.Expr) []lit {
 	}
 	// If any shift bit at position >= stages is set, the shift
 	// amount is >= w.
-	var high []lit
-	for i := stages; i < len(sh); i++ {
-		high = append(high, sh[i])
-	}
-	if len(high) > 0 {
-		over := b.orAll(high)
-		full := make([]lit, w)
-		for i := range full {
-			full[i] = fill
-		}
-		cur = b.muxBits(over, full, cur)
+	if high := sh[stages:]; len(high) > 0 {
+		cur = b.muxBits(b.orAll(high), b.filled(w, fill), cur)
 	}
 	return cur
 }
@@ -434,20 +447,16 @@ func (b *blaster) blastDiv(e *expr.Expr) []lit {
 		ys = b.muxBits(sy, b.negBits(y), y)
 	}
 	// Restoring division on the (possibly absolute) values.
-	rem := make([]lit, w)
-	for i := range rem {
-		rem[i] = b.litFalse
-	}
-	quo := make([]lit, w)
+	rem := b.filled(w, b.litFalse)
+	quo := b.vec(w)
 	for i := w - 1; i >= 0; i-- {
 		// rem = (rem << 1) | x_i
-		rem = append([]lit{xs[i]}, rem[:w-1]...)
+		shifted := b.vec(w)
+		shifted[0] = xs[i]
+		copy(shifted[1:], rem[:w-1])
+		rem = shifted
 		geq := b.ultBits(rem, ys).negate()
-		inv := make([]lit, w)
-		for j, l := range ys {
-			inv[j] = l.negate()
-		}
-		sub := b.addBits(rem, inv, b.litTrue)
+		sub := b.addBits(rem, b.negated(ys), b.litTrue)
 		rem = b.muxBits(geq, sub, rem)
 		quo[i] = geq
 	}
@@ -481,7 +490,7 @@ func (b *blaster) blastDiv(e *expr.Expr) []lit {
 }
 
 func (b *blaster) constBits(v uint64, w int) []lit {
-	out := make([]lit, w)
+	out := b.vec(w)
 	for i := 0; i < w; i++ {
 		out[i] = b.constLit(v>>uint(i)&1 == 1)
 	}

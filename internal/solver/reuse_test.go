@@ -68,9 +68,9 @@ func genReuseQueries(b *expr.Builder, rng *rand.Rand, n int) []reuseQuery {
 }
 
 // TestSolverReuseDifferential answers one random query sequence with a
-// single Solver, whose SAT core is reset and reused between queries,
-// and with a fresh Solver per query. Result, model and every work
-// counter must agree exactly: reuse may only change allocation.
+// single Solver and with a fresh Solver per query. Result, model and
+// every work counter must agree exactly: reuse may only change
+// allocation.
 func TestSolverReuseDifferential(t *testing.T) {
 	rng := rand.New(rand.NewSource(2024))
 	b := expr.NewBuilder()

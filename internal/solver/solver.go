@@ -85,15 +85,14 @@ type Stats struct {
 }
 
 // Solver decides conjunctions of bitvector/array constraints built
-// with a shared expr.Builder. Each Solve call is independent: its CNF
-// is blasted into one SAT core that is reset between calls, keeping
-// only the capacity of the core's vectors and clause arena.
+// with a shared expr.Builder. Each Solve call is independent: it
+// blasts and searches in a workspace borrowed for the call (see
+// workspace), so a Solver holds no search state between calls.
 type Solver struct {
 	b      *expr.Builder
 	opts   Options
 	last   Stats
 	pstats PortfolioStats
-	core   *sat
 }
 
 // PortfolioStats returns the cumulative racing counters (zero when no
@@ -119,16 +118,20 @@ func (s *Solver) Solve(cs []*expr.Expr) (Result, *expr.Assignment, error) {
 	// solves ER's stall detection keys off. (They used to be recorded
 	// only on the happy path, so stalled queries reported zero
 	// SATVars/SATClauses and CDCL counters.)
-	var core *sat
+	// The workspace goes back on the same path, after raceSearch has
+	// joined its workers and the model has been extracted.
+	var ws *workspace
 	defer func() {
 		s.last.Steps = budget.Used()
 		s.last.Elapsed = time.Since(start)
-		if core != nil {
+		if ws != nil {
+			core := &ws.core
 			s.last.SATVars = core.numVars
 			s.last.SATClauses = len(core.clauses)
 			s.last.Propagations = core.propagations
 			s.last.Conflicts = core.conflicts
 			s.last.Decisions = core.decisions
+			releaseWorkspace(ws)
 		}
 	}()
 
@@ -178,13 +181,8 @@ func (s *Solver) Solve(cs []*expr.Expr) (Result, *expr.Assignment, error) {
 	}
 
 	// Stage 2: bit blasting, with query-refined variable bits pinned.
-	if s.core == nil {
-		s.core = newSAT(budget)
-	} else {
-		s.core.reset(budget)
-	}
-	core = s.core
-	bl := newBlaster(core, budget)
+	ws = acquireWorkspace(budget)
+	core, bl := &ws.core, &ws.bl
 	bl.narrow = narrow
 	unsatEarly := false
 	for _, c := range pure {

@@ -149,6 +149,23 @@ func (s *Span) EndAfter(d time.Duration) {
 	s.publish()
 }
 
+// ChildDone records a finished nested span that lasted d and ends
+// now — for a stage another component has already timed, so the span
+// sits where the stage ran rather than after it. Negative durations
+// clamp to zero. Returns nil on a nil span.
+func (s *Span) ChildDone(name string, d time.Duration, attrs ...Attr) *Span {
+	c := s.Child(name, attrs...)
+	if c == nil {
+		return nil
+	}
+	if d < 0 {
+		d = 0
+	}
+	c.start = c.start.Add(-d)
+	c.EndAfter(d)
+	return c
+}
+
 func (s *Span) endAt(now time.Time) {
 	d := now.Sub(s.start)
 	if d < 0 {

@@ -175,6 +175,32 @@ func TestSpanEndIdempotent(t *testing.T) {
 	}
 }
 
+// TestSpanChildDone checks that ChildDone places an already-timed
+// stage where it ran: ending now, starting d earlier, and clamping a
+// negative d to an empty span.
+func TestSpanChildDone(t *testing.T) {
+	clk := newFakeClock()
+	tr := NewTracer(4)
+	tr.SetClock(clk.now)
+	root := tr.Start("root")
+	clk.advance(10 * time.Second)
+	root.ChildDone("stage", 3*time.Second)
+	root.ChildDone("clamped", -time.Second)
+	root.End()
+	sn := tr.Recent()[0]
+	stage, clamped := sn.Children[0], sn.Children[1]
+	if want := sn.Start.Add(7 * time.Second); !stage.Start.Equal(want) || stage.Duration != 3*time.Second || stage.Open {
+		t.Fatalf("stage = start %v dur %v open %v, want start %v dur 3s", stage.Start, stage.Duration, stage.Open, want)
+	}
+	if want := sn.Start.Add(10 * time.Second); !clamped.Start.Equal(want) || clamped.Duration != 0 {
+		t.Fatalf("clamped = start %v dur %v, want start %v dur 0", clamped.Start, clamped.Duration, want)
+	}
+	var nilSpan *Span
+	if nilSpan.ChildDone("x", time.Second) != nil {
+		t.Fatal("ChildDone on a nil span must return nil")
+	}
+}
+
 func TestWriteTree(t *testing.T) {
 	clk := newFakeClock()
 	tr := NewTracer(4)
