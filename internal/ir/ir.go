@@ -17,6 +17,7 @@ package ir
 import (
 	"fmt"
 	"sync"
+	"sync/atomic"
 )
 
 // Width is an operation width in bits.
@@ -264,7 +265,8 @@ type Global struct {
 // Module is a complete program. Once built, a Module is read-only and
 // safe for concurrent execution by many VMs (a production fleet runs
 // the same deployed module on every machine); the lazily built
-// function index is guarded accordingly.
+// function index and the cached executable form are guarded
+// accordingly. Transforms that change code work on a Clone.
 type Module struct {
 	Name    string
 	Funcs   []*Func
@@ -272,6 +274,38 @@ type Module struct {
 
 	idxMu   sync.RWMutex
 	funcIdx map[string]int
+
+	// exec is an executor's pre-decoded form of the module (see
+	// Compiled); nil until first cached, reset by AddFunc.
+	exec atomic.Pointer[execForm]
+}
+
+// execForm boxes a cached executable form for atomic publication.
+type execForm struct{ v any }
+
+// Compiled returns the executable form cached by CacheCompiled, or
+// nil. The interpreter (internal/vm) caches its pre-decoded code here
+// so that the cache lives and dies with the module it was built from.
+func (m *Module) Compiled() any {
+	if e := m.exec.Load(); e != nil {
+		return e.v
+	}
+	return nil
+}
+
+// CacheCompiled installs v as the module's executable form unless one
+// is already cached, and returns the form now cached. Concurrent
+// callers all get the same form.
+func (m *Module) CacheCompiled(v any) any {
+	e := &execForm{v: v}
+	for {
+		if m.exec.CompareAndSwap(nil, e) {
+			return v
+		}
+		if cur := m.exec.Load(); cur != nil {
+			return cur.v
+		}
+	}
 }
 
 // index returns the name→index map, building it on first use. Safe
@@ -311,12 +345,14 @@ func (m *Module) FuncIndex(name string) int {
 	return -1
 }
 
-// AddFunc appends f to the module and invalidates the index.
+// AddFunc appends f to the module and invalidates the index and the
+// cached executable form.
 func (m *Module) AddFunc(f *Func) {
 	m.Funcs = append(m.Funcs, f)
 	m.idxMu.Lock()
 	m.funcIdx = nil
 	m.idxMu.Unlock()
+	m.exec.Store(nil)
 }
 
 // AddGlobal appends g and returns its index.

@@ -54,7 +54,7 @@ func (f *Func) FindInstrByID(id int32) (int, int) {
 // Clone returns a deep copy of the module. Instrumentation transforms
 // clone first so the deployed binary in one "production" iteration is
 // never mutated while a trace from the previous iteration is being
-// analyzed.
+// analyzed. The copy starts with no cached executable form.
 func (m *Module) Clone() *Module {
 	nm := &Module{Name: m.Name}
 	for _, g := range m.Globals {

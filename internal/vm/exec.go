@@ -1,6 +1,7 @@
 package vm
 
 import (
+	"encoding/binary"
 	"fmt"
 
 	"execrecon/internal/ir"
@@ -16,6 +17,9 @@ func PackAddr(obj uint32, off uint32) uint64 { return uint64(obj)<<objShift | ui
 // SplitAddr splits an address into object ID and offset.
 func SplitAddr(a uint64) (uint32, uint32) { return uint32(a >> objShift), uint32(a) }
 
+// object is a memory object header. Headers live by value in
+// Machine.objs, indexed by object ID; IDs are never reused, so a
+// dangling pointer always names its own (freed) object.
 type object struct {
 	data   []byte
 	freed  bool
@@ -23,12 +27,18 @@ type object struct {
 	heap   bool
 }
 
+// frame is one activation. Popped frames stay above the top of their
+// thread's stack and are reused, with their register file and
+// frame-local buffer, by the next call at that depth.
 type frame struct {
-	fn       *ir.Func
+	code     *code
 	regs     []uint64
-	blk, ii  int
+	pc       int32
 	frameObj uint32
 	retDst   int
+	// local is the frame-local buffer, the data of frameObj while
+	// the frame is live.
+	local []byte
 }
 
 type threadState uint8
@@ -42,7 +52,7 @@ const (
 
 type thread struct {
 	id      int
-	stack   []*frame
+	stack   []*frame // frames above len(stack) are kept for reuse
 	state   threadState
 	waitMu  uint64 // mutex id when blocked on lock
 	waitTid int    // thread id when blocked on join
@@ -55,10 +65,11 @@ type thread struct {
 // Machine executes a module under a Config. A Machine is single-use.
 type Machine struct {
 	mod  *ir.Module
+	prog *program
 	cfg  Config
-	objs []*object
+	objs []object // by object ID
 	thrs []*thread
-	mus  map[uint64]int // mutex id -> owner tid (-1 free)
+	mus  map[uint64]int // mutex id -> owner tid (-1 free); nil until a lock
 
 	out     []uint64
 	stats   Stats
@@ -82,17 +93,17 @@ func New(mod *ir.Module, cfg Config) *Machine {
 	}
 	m := &Machine{
 		mod:     mod,
+		prog:    programOf(mod),
 		cfg:     cfg,
-		mus:     make(map[uint64]int),
 		rng:     uint64(cfg.Seed)*2862933555777941757 + 3037000493,
 		lastTid: -1,
 	}
 	// Object 0 is NULL.
-	m.objs = append(m.objs, &object{})
+	m.objs = make([]object, 1, 1+len(mod.Globals)+8)
 	for _, g := range mod.Globals {
 		data := make([]byte, g.Size)
 		copy(data, g.Init)
-		m.objs = append(m.objs, &object{data: data, global: true})
+		m.objs = append(m.objs, object{data: data, global: true})
 	}
 	return m
 }
@@ -110,34 +121,63 @@ func (m *Machine) nextRand() uint64 {
 // Run executes function entry (usually "main") with the given integer
 // arguments until exit, failure, or the step bound.
 func (m *Machine) Run(entry string, args ...uint64) *Result {
-	fn := m.mod.FuncByName(entry)
-	if fn == nil {
+	idx := m.mod.FuncIndex(entry)
+	if idx < 0 {
 		panic(fmt.Sprintf("vm: no function %q", entry))
 	}
 	t := &thread{id: 0}
 	m.thrs = append(m.thrs, t)
-	m.pushFrame(t, fn, args, -1)
+	f := m.pushFrame(t, &m.prog.funcs[idx], -1)
+	copy(f.regs, args)
+	if m.cfg.OnCall != nil {
+		m.cfg.OnCall(f.code.fn.Name, args[:min(len(args), f.code.fn.NParams)])
+	}
 	m.schedule()
 	return &Result{Failure: m.failure, Output: m.out, Stats: m.stats, Dump: m.dump}
 }
 
-func (m *Machine) pushFrame(t *thread, fn *ir.Func, args []uint64, retDst int) {
-	f := &frame{fn: fn, regs: make([]uint64, fn.NumRegs), retDst: retDst}
-	copy(f.regs, args)
-	if m.cfg.OnCall != nil {
-		m.cfg.OnCall(fn.Name, args[:min(len(args), fn.NParams)])
+// pushFrame pushes a zeroed activation of c onto t's stack, reusing the
+// frame last popped at that depth, and returns it. The caller writes
+// the arguments into its registers and reports OnCall.
+func (m *Machine) pushFrame(t *thread, c *code, retDst int) *frame {
+	n := len(t.stack)
+	var f *frame
+	if n < cap(t.stack) {
+		f = t.stack[:n+1][n]
 	}
-	if fn.FrameSize > 0 {
-		m.objs = append(m.objs, &object{data: make([]byte, fn.FrameSize)})
-		f.frameObj = uint32(len(m.objs) - 1)
+	if f == nil {
+		f = new(frame)
 	}
 	t.stack = append(t.stack, f)
+	f.code, f.pc, f.retDst, f.frameObj = c, 0, retDst, 0
+	if n := c.fn.NumRegs; cap(f.regs) >= n {
+		f.regs = f.regs[:n]
+		clear(f.regs)
+	} else {
+		f.regs = make([]uint64, n)
+	}
+	if size := c.fn.FrameSize; size > 0 {
+		if int64(cap(f.local)) >= size {
+			f.local = f.local[:size]
+			clear(f.local)
+		} else {
+			f.local = make([]byte, size)
+		}
+		m.objs = append(m.objs, object{data: f.local})
+		f.frameObj = uint32(len(m.objs) - 1)
+	}
+	return f
 }
 
+// popFrame pops t's top frame and frees its frame object. The object
+// keeps its ID (so dangling pointers into it fault) but drops its data,
+// which the frame reuses.
 func (m *Machine) popFrame(t *thread) {
 	f := t.stack[len(t.stack)-1]
 	if f.frameObj != 0 {
-		m.objs[f.frameObj].freed = true
+		o := &m.objs[f.frameObj]
+		o.freed = true
+		o.data = nil
 	}
 	t.stack = t.stack[:len(t.stack)-1]
 }
@@ -174,10 +214,6 @@ func (m *Machine) schedule() {
 			quantum = m.cfg.ChunkSize/2 + int(m.nextRand()%uint64(m.cfg.ChunkSize))
 		}
 		m.runChunk(t, quantum)
-		if m.stats.Instrs > m.cfg.MaxSteps {
-			m.failGlobal(FailDeadlock, "step budget exhausted (hang)")
-			return
-		}
 		cur++
 	}
 }
@@ -211,18 +247,19 @@ func (m *Machine) fail(t *thread, in *ir.Instr, kind FailKind, msg string) {
 	f := t.stack[len(t.stack)-1]
 	var stack []string
 	for _, fr := range t.stack {
-		stack = append(stack, fr.fn.Name)
+		stack = append(stack, fr.code.fn.Name)
 	}
 	m.failure = &Failure{
 		Kind: kind, Msg: msg,
-		Func: f.fn.Name, InstrID: in.ID, Line: in.Line,
+		Func: f.code.fn.Name, InstrID: in.ID, Line: in.Line,
 		Tid: t.id, Stack: stack,
 	}
 	dump := &CoreDump{
 		Regs:    append([]uint64(nil), f.regs...),
 		Objects: make(map[uint32][]byte),
 	}
-	for id, o := range m.objs {
+	for id := range m.objs {
+		o := &m.objs[id]
 		if id == 0 || o.freed {
 			continue
 		}
@@ -241,7 +278,7 @@ func (m *Machine) arg(f *frame, a ir.Arg) uint64 {
 func (m *Machine) setReg(t *thread, f *frame, in *ir.Instr, val uint64) {
 	f.regs[in.Dst] = val
 	if m.cfg.OnRegWrite != nil {
-		m.cfg.OnRegWrite(f.fn.Name, in.ID, in.Dst, val)
+		m.cfg.OnRegWrite(f.code.fn.Name, in.ID, in.Dst, val)
 	}
 }
 
@@ -252,7 +289,7 @@ func (m *Machine) checkAccess(t *thread, in *ir.Instr, addr uint64, size int) *o
 		m.fail(t, in, FailNullDeref, fmt.Sprintf("address %#x", addr))
 		return nil
 	}
-	o := m.objs[obj]
+	o := &m.objs[obj]
 	if o.freed {
 		m.fail(t, in, FailUseAfterFree, fmt.Sprintf("object %d at offset %d", obj, off))
 		return nil
@@ -285,9 +322,19 @@ func storeLE(data []byte, off uint32, n int, v uint64) {
 // thread blocks. Aligning preemption with trace events lets the
 // shepherded symbolic executor reconstruct the exact switch points
 // from the packet stream alone (§3.4).
+//
+// The common instructions run in runFast's tight loop; every other
+// instruction, any instruction that would fail, and every instruction
+// when OnRegWrite is set goes through execStep, whose step is the one
+// complete statement of the semantics.
 func (m *Machine) runChunk(t *thread, quantum int) {
 	defer m.pgd(t)
-	for steps := 0; ; steps++ {
+	// Once the run's instruction count passes endAt, the chunk has
+	// executed more than quantum instructions and may end at the
+	// next trace-visible event.
+	endAt := m.stats.Instrs + int64(quantum)
+	fast := m.cfg.OnRegWrite == nil
+	for {
 		if t.state != thRunnable || m.failure != nil {
 			return
 		}
@@ -297,25 +344,203 @@ func (m *Machine) runChunk(t *thread, quantum int) {
 			return
 		}
 		f := t.stack[len(t.stack)-1]
-		blk := f.fn.Blocks[f.blk]
-		in := &blk.Instrs[f.ii]
-		m.stats.Instrs++
-		m.stats.Cycles += opCycles(in.Op)
-		op := in.Op
-		t.sinceEvent++
-		ok := m.step(t, f, in)
-		if eventOp(op) {
-			t.sinceEvent = 0
-		}
-		if !ok {
+		if fast && m.runFast(t, f, endAt) {
 			return
 		}
-		if steps >= quantum {
+		op := f.code.ins[f.pc].in.Op
+		if !m.execStep(t, f) {
+			return
+		}
+		if m.stats.Instrs > endAt {
 			switch op {
 			case ir.OpCondBr, ir.OpRet, ir.OpICall, ir.OpYield:
 				return
 			}
 		}
+	}
+}
+
+// execStep counts and executes the instruction at f's pc through step.
+// It returns false when the chunk must end.
+func (m *Machine) execStep(t *thread, f *frame) bool {
+	ci := &f.code.ins[f.pc]
+	m.stats.Instrs++
+	if m.stats.Instrs > m.cfg.MaxSteps {
+		m.failGlobal(FailDeadlock, "step budget exhausted (hang)")
+		return false
+	}
+	m.stats.Cycles += int64(ci.cyc)
+	t.sinceEvent++
+	ok := m.step(t, f, ci)
+	if eventOp(ci.in.Op) {
+		t.sinceEvent = 0
+	}
+	return ok
+}
+
+// runFast runs f's instructions while they are hot-loop instructions
+// that cannot fail, keeping the pc, the registers and the counters in
+// locals. It stops before the first other instruction (for execStep)
+// and reports true when it ended the chunk at a conditional branch.
+// Its semantics are step's, instruction for instruction.
+func (m *Machine) runFast(t *thread, f *frame, endAt int64) (chunkEnd bool) {
+	ins, regs, pc := f.code.ins, f.regs, f.pc
+	objs := m.objs
+	frameBase := PackAddr(f.frameObj, 0)
+	instrs, cycles, branches := m.stats.Instrs, m.stats.Cycles, m.stats.Branches
+	since := t.sinceEvent
+	limit := m.cfg.MaxSteps
+	tr := m.cfg.Tracer
+loop:
+	for instrs < limit {
+		ci := &ins[pc]
+		a, b := ci.a, ci.b
+		if ci.aReg {
+			a = regs[a]
+		}
+		if ci.bReg {
+			b = regs[b]
+		}
+		next := pc + 1
+		mask := ci.mask()
+		switch ci.op {
+		case ir.OpConst, ir.OpGlobal:
+			regs[ci.dst] = a
+		case ir.OpMov, ir.OpZext, ir.OpTrunc:
+			regs[ci.dst] = a & mask
+		case ir.OpSext:
+			regs[ci.dst] = uint64(int64(a<<ci.sh) >> ci.sh)
+		case ir.OpFrame:
+			regs[ci.dst] = frameBase | a
+		case ir.OpAdd:
+			regs[ci.dst] = (a + b) & mask
+		case ir.OpSub:
+			regs[ci.dst] = (a - b) & mask
+		case ir.OpMul:
+			regs[ci.dst] = (a * b) & mask
+		case ir.OpAnd:
+			regs[ci.dst] = a & b & mask
+		case ir.OpOr:
+			regs[ci.dst] = (a | b) & mask
+		case ir.OpXor:
+			regs[ci.dst] = (a ^ b) & mask
+		case ir.OpUDiv, ir.OpURem, ir.OpSDiv, ir.OpSRem:
+			v, ok := EvalBin(ci.op, ci.w, a&mask, b&mask)
+			if !ok {
+				break loop // division by zero: step reports it
+			}
+			regs[ci.dst] = v
+		case ir.OpShl:
+			if b &= mask; b >= uint64(ci.w) {
+				regs[ci.dst] = 0
+			} else {
+				regs[ci.dst] = (a << b) & mask
+			}
+		case ir.OpLShr:
+			if b &= mask; b >= uint64(ci.w) {
+				regs[ci.dst] = 0
+			} else {
+				regs[ci.dst] = (a & mask) >> b
+			}
+		case ir.OpAShr:
+			if b &= mask; b >= uint64(ci.w) {
+				b = uint64(ci.w) - 1
+			}
+			regs[ci.dst] = uint64(int64(a<<ci.sh)>>ci.sh>>b) & mask
+		case ir.OpEq:
+			regs[ci.dst] = b2u(a&mask == b&mask)
+		case ir.OpNe:
+			regs[ci.dst] = b2u(a&mask != b&mask)
+		case ir.OpUlt:
+			regs[ci.dst] = b2u(a&mask < b&mask)
+		case ir.OpUle:
+			regs[ci.dst] = b2u(a&mask <= b&mask)
+		case ir.OpSlt:
+			regs[ci.dst] = b2u(int64(a<<ci.sh)>>ci.sh < int64(b<<ci.sh)>>ci.sh)
+		case ir.OpSle:
+			regs[ci.dst] = b2u(int64(a<<ci.sh)>>ci.sh <= int64(b<<ci.sh)>>ci.sh)
+		case ir.OpLoad, ir.OpStore:
+			obj, off := SplitAddr(a)
+			if obj == 0 || int(obj) >= len(objs) {
+				break loop
+			}
+			o := &objs[obj]
+			end := int(off) + int(ci.nb)
+			if o.freed || end > len(o.data) {
+				break loop // a failing access: step reports it
+			}
+			d := o.data[off:end]
+			if ci.op == ir.OpLoad {
+				regs[ci.dst] = loadN(d)
+			} else {
+				storeN(d, b&mask)
+			}
+		case ir.OpBr:
+			next = ci.t1
+		case ir.OpCondBr:
+			branches++
+			taken := a != 0
+			if tr != nil {
+				tr.TNT(taken)
+			}
+			next = int32(b)
+			if taken {
+				next = ci.t1
+			}
+			pc = next
+			instrs++
+			cycles += int64(ci.cyc)
+			since = 0
+			if instrs > endAt {
+				chunkEnd = true
+				break loop
+			}
+			continue
+		default:
+			break loop
+		}
+		pc = next
+		instrs++
+		cycles += int64(ci.cyc)
+		since++
+	}
+	f.pc = pc
+	m.stats.Instrs, m.stats.Cycles, m.stats.Branches = instrs, cycles, branches
+	t.sinceEvent = since
+	return chunkEnd
+}
+
+func b2u(v bool) uint64 {
+	if v {
+		return 1
+	}
+	return 0
+}
+
+// loadN reads len(d) (1, 2, 4 or 8) bytes little-endian.
+func loadN(d []byte) uint64 {
+	switch len(d) {
+	case 1:
+		return uint64(d[0])
+	case 2:
+		return uint64(binary.LittleEndian.Uint16(d))
+	case 4:
+		return uint64(binary.LittleEndian.Uint32(d))
+	}
+	return binary.LittleEndian.Uint64(d)
+}
+
+// storeN writes the low len(d) (1, 2, 4 or 8) bytes of v little-endian.
+func storeN(d []byte, v uint64) {
+	switch len(d) {
+	case 1:
+		d[0] = byte(v)
+	case 2:
+		binary.LittleEndian.PutUint16(d, uint16(v))
+	case 4:
+		binary.LittleEndian.PutUint32(d, uint32(v))
+	default:
+		binary.LittleEndian.PutUint64(d, v)
 	}
 }
 
@@ -337,8 +562,9 @@ func (m *Machine) pgd(t *thread) {
 
 // step executes one instruction; it returns false when the chunk must
 // end (block, thread switch, failure, or thread exit).
-func (m *Machine) step(t *thread, f *frame, in *ir.Instr) bool {
-	adv := true // advance f.ii after execution
+func (m *Machine) step(t *thread, f *frame, ci *cinstr) bool {
+	in := ci.in
+	adv := true // advance f.pc after execution
 	w := in.W
 	nb := w.Bytes()
 	msk := func(v uint64) uint64 {
@@ -394,7 +620,7 @@ func (m *Machine) step(t *thread, f *frame, in *ir.Instr) bool {
 			m.fail(t, in, FailOutOfBounds, fmt.Sprintf("malloc of %d bytes", size))
 			return false
 		}
-		m.objs = append(m.objs, &object{data: make([]byte, size), heap: true})
+		m.objs = append(m.objs, object{data: make([]byte, size), heap: true})
 		m.setReg(t, f, in, PackAddr(uint32(len(m.objs)-1), 0))
 	case ir.OpFree:
 		addr := m.arg(f, in.A)
@@ -403,7 +629,7 @@ func (m *Machine) step(t *thread, f *frame, in *ir.Instr) bool {
 			m.fail(t, in, FailBadFree, fmt.Sprintf("address %#x", addr))
 			return false
 		}
-		o := m.objs[obj]
+		o := &m.objs[obj]
 		if !o.heap {
 			m.fail(t, in, FailBadFree, "free of non-heap object")
 			return false
@@ -414,9 +640,9 @@ func (m *Machine) step(t *thread, f *frame, in *ir.Instr) bool {
 		}
 		o.freed = true
 	case ir.OpFuncAddr:
-		m.setReg(t, f, in, uint64(m.mod.FuncIndex(in.Tag)))
+		m.setReg(t, f, in, ci.a)
 	case ir.OpBr:
-		f.blk, f.ii = in.Blk, 0
+		f.pc = ci.t1
 		adv = false
 	case ir.OpCondBr:
 		taken := m.arg(f, in.A) != 0
@@ -425,15 +651,13 @@ func (m *Machine) step(t *thread, f *frame, in *ir.Instr) bool {
 			m.cfg.Tracer.TNT(taken)
 		}
 		if taken {
-			f.blk = in.Blk
+			f.pc = ci.t1
 		} else {
-			f.blk = in.Blk2
+			f.pc = int32(ci.b)
 		}
-		f.ii = 0
 		adv = false
 	case ir.OpCall:
-		callee := m.mod.FuncByName(in.Tag)
-		m.doCall(t, f, in, callee)
+		m.doCall(t, f, in, &m.prog.funcs[ci.b])
 		return m.failure == nil
 	case ir.OpICall:
 		idx := m.arg(f, in.A)
@@ -445,9 +669,9 @@ func (m *Machine) step(t *thread, f *frame, in *ir.Instr) bool {
 			m.fail(t, in, FailNullDeref, fmt.Sprintf("indirect call to %#x", idx))
 			return false
 		}
-		callee := m.mod.Funcs[idx]
-		if len(in.Args) != callee.NParams {
-			m.fail(t, in, FailAbort, fmt.Sprintf("indirect call arity: %s wants %d args", callee.Name, callee.NParams))
+		callee := &m.prog.funcs[idx]
+		if len(in.Args) != callee.fn.NParams {
+			m.fail(t, in, FailAbort, fmt.Sprintf("indirect call arity: %s wants %d args", callee.fn.Name, callee.fn.NParams))
 			return false
 		}
 		m.doCall(t, f, in, callee)
@@ -455,7 +679,7 @@ func (m *Machine) step(t *thread, f *frame, in *ir.Instr) bool {
 	case ir.OpRet:
 		rv := m.arg(f, in.A)
 		if m.cfg.OnReturn != nil {
-			m.cfg.OnReturn(f.fn.Name, rv)
+			m.cfg.OnReturn(f.code.fn.Name, rv)
 		}
 		m.stats.Rets++
 		if m.cfg.Tracer != nil {
@@ -474,7 +698,7 @@ func (m *Machine) step(t *thread, f *frame, in *ir.Instr) bool {
 		if f.retDst >= 0 {
 			cf.regs[f.retDst] = rv
 		}
-		cf.ii++
+		cf.pc++
 		return true
 	case ir.OpInput:
 		var v uint64
@@ -505,17 +729,12 @@ func (m *Machine) step(t *thread, f *frame, in *ir.Instr) bool {
 			m.cfg.Tracer.PTW(in.ID, w, msk(m.arg(f, in.A)))
 		}
 	case ir.OpSpawn:
-		callee := m.mod.FuncByName(in.Tag)
 		nt := &thread{id: len(m.thrs)}
 		m.thrs = append(m.thrs, nt)
 		if len(m.thrs) > m.stats.Threads {
 			m.stats.Threads = len(m.thrs)
 		}
-		args := make([]uint64, len(in.Args))
-		for i, a := range in.Args {
-			args[i] = m.arg(f, a)
-		}
-		m.pushFrame(nt, callee, args, -1)
+		m.passArgs(f, in, m.pushFrame(nt, &m.prog.funcs[ci.b], -1))
 		m.setReg(t, f, in, uint64(nt.id))
 	case ir.OpJoin:
 		tid := m.arg(f, in.A)
@@ -530,6 +749,9 @@ func (m *Machine) step(t *thread, f *frame, in *ir.Instr) bool {
 		}
 	case ir.OpLock:
 		mu := m.arg(f, in.A)
+		if m.mus == nil {
+			m.mus = make(map[uint64]int)
+		}
 		owner, held := m.mus[mu]
 		if held && owner >= 0 {
 			if owner == t.id {
@@ -550,28 +772,41 @@ func (m *Machine) step(t *thread, f *frame, in *ir.Instr) bool {
 		m.mus[mu] = -1
 		m.wakeLockers(mu)
 	case ir.OpYield:
-		f.ii++
+		f.pc++
 		return false
 	default:
 		m.fail(t, in, FailAbort, fmt.Sprintf("bad opcode %s", in.Op))
 		return false
 	}
 	if adv {
-		f.ii++
+		f.pc++
 	}
 	return true
 }
 
-func (m *Machine) doCall(t *thread, f *frame, in *ir.Instr, callee *ir.Func) {
+func (m *Machine) doCall(t *thread, f *frame, in *ir.Instr, callee *code) {
 	if len(t.stack) >= m.cfg.MaxCallDepth {
 		m.fail(t, in, FailStackOverflow, fmt.Sprintf("depth %d", len(t.stack)))
 		return
 	}
-	args := make([]uint64, len(in.Args))
+	m.passArgs(f, in, m.pushFrame(t, callee, in.Dst))
+}
+
+// passArgs evaluates in's call arguments in the caller frame f straight
+// into the callee frame cf's registers, and reports the call to OnCall.
+func (m *Machine) passArgs(f *frame, in *ir.Instr, cf *frame) {
 	for i, a := range in.Args {
-		args[i] = m.arg(f, a)
+		if i < len(cf.regs) {
+			cf.regs[i] = m.arg(f, a)
+		}
 	}
-	m.pushFrame(t, callee, args, in.Dst)
+	if m.cfg.OnCall != nil {
+		args := make([]uint64, len(in.Args))
+		for i, a := range in.Args {
+			args[i] = m.arg(f, a)
+		}
+		m.cfg.OnCall(cf.code.fn.Name, args[:min(len(args), cf.code.fn.NParams)])
+	}
 }
 
 func (m *Machine) wakeJoiners(tid int) {
