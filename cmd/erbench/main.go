@@ -20,23 +20,10 @@
 //	          + N triage nodes over loopback HTTP, scaling measured at
 //	          {1,2,4} <= N), and -kill-after D adds a node-kill chaos
 //	          run that must preserve verdict parity
-//	portfolio solver racing under stall budgets: each bug reproduced
-//	          with paced reoccurrences (-pace), solving sequentially vs
-//	          racing each stalled query across -portfolio seeded CDCL
-//	          workers (optionally -cube-vars splits), comparing
-//	          end-to-end time and occurrences under a verdict-parity
-//	          gate
 //	tracestore  persistent trace archive: per-app raw-vs-stored
 //	          compression over archived reoccurrences, ingest
 //	          throughput, and verdict parity when every trace is read
 //	          back through the store's streaming reader
-//	absint    abstract-interpretation ablation: each bug reproduced
-//	          with the interval/known-bits pre-pass off vs on,
-//	          comparing verdict parity, abstractly-discharged query
-//	          rate, CNF size reduction from bit-pinning, cumulative
-//	          solver time, and statically mined invariants verified on
-//	          the reproduced input (-absint-widen tunes the fixpoint
-//	          widening threshold)
 //	slice     static failure-slice ablation: full symbolic shepherding
 //	          vs slice-pruned (out-of-slice instructions execute
 //	          natively), comparing symbolic dispatch counts, verdicts,
@@ -60,10 +47,9 @@
 //	          whole population through the fleet under mixed
 //	          benign/failing traffic, reporting per-pattern
 //	          reproduction rates, iteration counts, and recording-cost
-//	          distributions; -absint runs the population with the
-//	          abstract-interpretation pre-pass enabled across every
-//	          pipeline (discharge, narrowed blasting, provable lint,
-//	          invariant mining)
+//	          distributions; -absint runs the abstract interpreter
+//	          across the population (provable lint at registration,
+//	          invariant mining after each verified reproduction)
 //	all       everything above
 //
 // -json <dir> additionally writes the telemetry experiment's
@@ -85,7 +71,7 @@ import (
 var experiments = []string{
 	"fig1", "table1", "offline", "fig5", "fig6", "random",
 	"accuracy", "rept", "mimic", "ablation", "mt", "fleet",
-	"portfolio", "tracestore", "absint", "slice", "telemetry",
+	"tracestore", "slice", "telemetry",
 	"obs", "corpus",
 }
 
@@ -109,12 +95,10 @@ func main() {
 	machines := flag.Int("machines", 0, "producer machines per app for the fleet experiment (0 = default 2)")
 	nodes := flag.Int("nodes", 0, "run the fleet experiment through an in-process multi-node cluster (coordinator + N triage nodes over loopback HTTP); scaling is measured at every count in {1,2,4} <= N")
 	killAfter := flag.Duration("kill-after", 0, "with -nodes >= 2, kill -9 one triage node this long into an extra chaos run (all buckets must still resolve via lease re-dispatch)")
-	pace := flag.Duration("pace", 0, "production-run spacing per fleet machine (0 = default 100ms); also the portfolio experiment's simulated reoccurrence interval (0 = default 1s)")
+	pace := flag.Duration("pace", 0, "production-run spacing per fleet machine (0 = default 100ms)")
 	trials := flag.Int("trials", 0, "timed repetitions per mode for the telemetry and obs experiments (0 = default 3)")
-	portfolio := flag.Int("portfolio", 0, fmt.Sprintf("racing CDCL workers per query for the portfolio experiment (0 = default %d)", bench.DefaultPortfolioWorkers))
-	cubeVars := flag.Int("cube-vars", 0, "cube-and-conquer split variables for the portfolio experiment (0 = no cubes)")
-	useAbsint := flag.Bool("absint", false, "enable the abstract-interpretation pre-pass across the corpus experiment's pipelines")
-	absintWiden := flag.Int("absint-widen", 0, "fixpoint widening threshold for the abstract pass (0 = default)")
+	useAbsint := flag.Bool("absint", false, "run the abstract interpreter's provable lint and invariant mining across the corpus experiment's pipelines")
+	absintWiden := flag.Int("absint-widen", 0, "fixpoint widening threshold for the abstract interpreter (0 = default)")
 	corpusN := flag.Int("corpus-n", 200, "generated scenarios for the corpus experiment")
 	seed := flag.Int64("seed", 1, "generation master seed for the corpus experiment")
 	maxOverhead := flag.Float64("max-overhead", 5.0, "telemetry experiment failure threshold in percent")
@@ -176,38 +160,15 @@ func main() {
 		fmt.Fprintf(os.Stderr, "erbench: -trials must be >= 0 (got %d)\n", *trials)
 		os.Exit(2)
 	}
-	// Portfolio sizing flags: negative widths are caller mistakes, and
-	// a single worker races nothing.
-	if *portfolio < 0 || *portfolio == 1 {
-		fmt.Fprintf(os.Stderr, "erbench: -portfolio must be 0 (default %d) or > 1 (got %d)\n",
-			bench.DefaultPortfolioWorkers, *portfolio)
-		os.Exit(2)
-	}
-	if *cubeVars < 0 {
-		fmt.Fprintf(os.Stderr, "erbench: -cube-vars must be >= 0 (got %d)\n", *cubeVars)
-		os.Exit(2)
-	}
-	// Abstract-pass knobs: the ablation *is* the off-vs-on comparison,
-	// so explicitly forcing -absint=false alongside -exp absint is a
-	// contradiction; a negative widening threshold would never
-	// stabilize the fixpoint; and tuning the threshold is meaningless
-	// when nothing runs the pass.
-	absintSet := false
-	flag.Visit(func(f *flag.Flag) {
-		if f.Name == "absint" {
-			absintSet = true
-		}
-	})
-	if absintSet && !*useAbsint && *exp == "absint" {
-		fmt.Fprintln(os.Stderr, "erbench: -absint=false contradicts -exp absint (the ablation runs the pass by definition)")
-		os.Exit(2)
-	}
+	// Abstract-interpreter knobs: a negative widening threshold would
+	// never stabilize the fixpoint, and tuning the threshold is
+	// meaningless when nothing runs the analysis.
 	if *absintWiden < 0 {
 		fmt.Fprintf(os.Stderr, "erbench: -absint-widen must be >= 0 (got %d)\n", *absintWiden)
 		os.Exit(2)
 	}
-	if *absintWiden > 0 && !*useAbsint && *exp != "absint" && *exp != "all" {
-		fmt.Fprintln(os.Stderr, "erbench: -absint-widen requires -exp absint or -absint")
+	if *absintWiden > 0 && !*useAbsint {
+		fmt.Fprintln(os.Stderr, "erbench: -absint-widen requires -absint")
 		os.Exit(2)
 	}
 	if *maxOverhead <= 0 {
@@ -401,31 +362,6 @@ func main() {
 		}
 		fmt.Fprintln(out)
 	}
-	if run("portfolio") {
-		fmt.Fprintln(out, "== portfolio racing under stall budgets (sequential vs raced) ==")
-		opts := bench.PortfolioExpOptions{
-			Workers:  *portfolio,
-			CubeVars: *cubeVars,
-			Pace:     *pace,
-		}
-		if *app != "" {
-			opts.Only = []string{*app}
-		}
-		if log != nil {
-			opts.Log = log
-		}
-		r, err := bench.RunPortfolio(opts)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "portfolio:", err)
-			ok = false
-		} else {
-			bench.RenderPortfolio(out, r)
-			if !r.AllVerdictsMatch {
-				ok = false
-			}
-		}
-		fmt.Fprintln(out)
-	}
 	if run("tracestore") {
 		fmt.Fprintln(out, "== trace archive: compression, ingest throughput, verdict parity ==")
 		opts := bench.TracestoreOptions{}
@@ -443,28 +379,6 @@ func main() {
 			bench.RenderTracestore(out, rows)
 			if !bench.TracestoreParity(rows) {
 				fmt.Fprintln(os.Stderr, "tracestore: verdict parity violated (see table)")
-				ok = false
-			}
-		}
-		fmt.Fprintln(out)
-	}
-	if run("absint") {
-		fmt.Fprintln(out, "== abstract-interpretation ablation (pre-pass off vs on) ==")
-		opts := bench.AbsintOptions{Widen: *absintWiden}
-		if *app != "" {
-			opts.Only = []string{*app}
-		}
-		if log != nil {
-			opts.Log = log
-		}
-		r, err := bench.RunAbsint(opts)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "absint:", err)
-			ok = false
-		} else {
-			bench.RenderAbsint(out, r)
-			if !r.AllVerdictsMatch {
-				fmt.Fprintln(os.Stderr, "absint: verdict parity violated (see table)")
 				ok = false
 			}
 		}

@@ -41,10 +41,10 @@ type CorpusOptions struct {
 	Telemetry  *telemetry.Registry
 	Tracer     *telemetry.Tracer
 	ListenAddr string
-	// Absint enables the abstract-interpretation pre-pass (solver
-	// pre-discharge, narrowed blasting, registration-time provable
-	// lint) across the whole population's pipelines; AbsintWiden is
-	// its widening threshold (0 = default).
+	// Absint runs the abstract interpreter across the population
+	// (fleet.Options.Absint: registration-time provable lint and
+	// invariant mining after each verified reproduction); AbsintWiden
+	// is its widening threshold (0 = default).
 	Absint      bool
 	AbsintWiden int
 	// Log receives generation and fleet progress lines.
@@ -111,11 +111,10 @@ type CorpusResult struct {
 	// TimedOut reports whether the fleet hit its timeout.
 	TimedOut bool
 	// Absint echoes CorpusOptions.Absint; the counters below then
-	// aggregate the abstract pass's work across the population:
-	// queries discharged without CDCL, registration-time provable
-	// lint findings, and static invariants mined/verified.
+	// aggregate the abstract interpreter's work across the population:
+	// registration-time provable lint findings, and static invariants
+	// mined/verified.
 	Absint           bool
-	AbsintDischarged int64
 	AbsintLintProofs int64
 	AbsintMined      int
 	AbsintVerified   int
@@ -191,7 +190,6 @@ func RunCorpus(opts CorpusOptions) (*CorpusResult, error) {
 			if b.Report == nil {
 				continue
 			}
-			r.AbsintDischarged += b.Report.AbsintDischarged
 			r.AbsintMined += b.Report.AbsintMined
 			r.AbsintVerified += len(b.Report.AbsintInvariants)
 		}
@@ -319,8 +317,8 @@ func RenderCorpus(w io.Writer, r *CorpusResult) {
 		fmt.Fprintf(w, " (TIMED OUT: %d scenarios unresolved)", r.Unresolved)
 	}
 	if r.Absint {
-		fmt.Fprintf(w, "\nabstract pass: %d queries discharged, %d provable lint findings at registration, %d/%d static invariants verified/mined",
-			r.AbsintDischarged, r.AbsintLintProofs, r.AbsintVerified, r.AbsintMined)
+		fmt.Fprintf(w, "\nabstract interpreter: %d provable lint findings at registration, %d/%d static invariants verified/mined",
+			r.AbsintLintProofs, r.AbsintVerified, r.AbsintMined)
 	}
 	fmt.Fprintf(w, "\nreproduce this population with: erbench -exp corpus -corpus-n %d -seed %d\n", r.N, r.Seed)
 }

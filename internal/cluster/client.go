@@ -31,6 +31,31 @@ func NewClient(base, node string) *Client {
 	}
 }
 
+// Caps on the coordinator responses the client decodes, so a faulty or
+// hostile coordinator cannot make a node buffer without bound. A fetch
+// response carries one archived trace, the payload a submit request
+// carries, so it gets the coordinator's own request cap. Every other
+// response is an envelope or a listing: a bucket verdict encodes to a
+// few hundred bytes, so 8 MiB holds tens of thousands of buckets.
+const (
+	maxResponseBytes      = 8 << 20
+	maxFetchResponseBytes = maxRequestBytes
+)
+
+// decode parses one JSON response of at most limit bytes from body.
+// A response over the cap is an error even if its prefix parses.
+func decode(path string, body io.Reader, limit int64, v interface{}) error {
+	lr := &io.LimitedReader{R: body, N: limit + 1}
+	err := json.NewDecoder(lr).Decode(v)
+	if lr.N <= 0 {
+		return fmt.Errorf("cluster: %s: response exceeds %d bytes", path, limit)
+	}
+	if err != nil {
+		return fmt.Errorf("cluster: decode %s: %w", path, err)
+	}
+	return nil
+}
+
 // post round-trips one JSON request. Transport and decode errors are
 // returned as errors; protocol-level rejections ride in the response
 // envelope (OK=false).
@@ -48,10 +73,21 @@ func (cl *Client) post(path string, req, resp interface{}) error {
 		msg, _ := io.ReadAll(io.LimitReader(hr.Body, 512))
 		return fmt.Errorf("cluster: %s: HTTP %d: %s", path, hr.StatusCode, bytes.TrimSpace(msg))
 	}
-	if err := json.NewDecoder(hr.Body).Decode(resp); err != nil {
-		return fmt.Errorf("cluster: decode %s: %w", path, err)
+	limit := int64(maxResponseBytes)
+	if path == PathFetch {
+		limit = maxFetchResponseBytes
 	}
-	return nil
+	return decode(path, hr.Body, limit, resp)
+}
+
+// get fetches and decodes one JSON listing.
+func (cl *Client) get(path string, resp interface{}) error {
+	hr, err := cl.hc.Get(cl.base + path)
+	if err != nil {
+		return fmt.Errorf("cluster: %s: %w", path, err)
+	}
+	defer hr.Body.Close()
+	return decode(path, hr.Body, maxResponseBytes, resp)
 }
 
 // Lease asks for the next unleased bucket, long-polling up to wait.
@@ -126,28 +162,18 @@ func (cl *Client) Submit(req *SubmitRequest) (*SubmitResponse, error) {
 
 // Verdicts lists every bucket's triage outcome.
 func (cl *Client) Verdicts() (*VerdictsResponse, error) {
-	hr, err := cl.hc.Get(cl.base + PathVerdicts)
-	if err != nil {
-		return nil, fmt.Errorf("cluster: %s: %w", PathVerdicts, err)
-	}
-	defer hr.Body.Close()
 	var resp VerdictsResponse
-	if err := json.NewDecoder(hr.Body).Decode(&resp); err != nil {
-		return nil, fmt.Errorf("cluster: decode %s: %w", PathVerdicts, err)
+	if err := cl.get(PathVerdicts, &resp); err != nil {
+		return nil, err
 	}
 	return &resp, nil
 }
 
 // State fetches the coordinator's cluster snapshot.
 func (cl *Client) State() (*ClusterSnapshot, error) {
-	hr, err := cl.hc.Get(cl.base + PathState)
-	if err != nil {
-		return nil, fmt.Errorf("cluster: %s: %w", PathState, err)
-	}
-	defer hr.Body.Close()
 	var snap ClusterSnapshot
-	if err := json.NewDecoder(hr.Body).Decode(&snap); err != nil {
-		return nil, fmt.Errorf("cluster: decode %s: %w", PathState, err)
+	if err := cl.get(PathState, &snap); err != nil {
+		return nil, err
 	}
 	return &snap, nil
 }

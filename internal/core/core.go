@@ -20,7 +20,6 @@ import (
 
 	"execrecon/internal/invariants"
 	"execrecon/internal/ir"
-	"execrecon/internal/solver"
 	"execrecon/internal/symex"
 	"execrecon/internal/telemetry"
 	"execrecon/internal/vm"
@@ -84,17 +83,6 @@ type Config struct {
 	RandomSelection bool
 	// RandomSeed seeds the random-selection baseline.
 	RandomSeed int64
-	// PortfolioWorkers, when > 1, races each solver query's CDCL
-	// descent across that many workers — the deterministic base search
-	// plus seeded replicas exchanging learnt clauses — with the first
-	// definitive verdict winning and cancelling the rest.
-	// Verdict-preserving: racing changes latency, never outcomes.
-	PortfolioWorkers int
-	// PortfolioCubeVars additionally splits grown queries into 2^n
-	// cube workers over the n highest-occurrence variables (cube and
-	// conquer); 0 disables splitting. Only meaningful with
-	// PortfolioWorkers > 1.
-	PortfolioCubeVars int
 	// Telemetry, when set, is the shared metrics registry the
 	// pipeline reports into: per-stage latency histograms
 	// (er_core_stage_seconds{stage=...}) and iteration/outcome
@@ -116,13 +104,11 @@ type Config struct {
 	// coordinator's per-bucket timeline (the caller Ends the parent
 	// to publish the tree).
 	ParentSpan *telemetry.Span
-	// Absint enables the abstract-interpretation layer
-	// (internal/absint) across the loop: every solver query first runs
-	// the interval + known-bits pre-discharge pass, undecided queries
-	// blast with refined bits pinned, and a verified reproduction
-	// additionally mines static invariant candidates that are confirmed
-	// MIMIC-style against the reproduced input's concrete run before
-	// being reported. Verdict-preserving throughout.
+	// Absint runs the abstract interpreter (internal/absint) over the
+	// pristine module once a reproduction is verified: it mines static
+	// invariant candidates, and reports those the reproduced input's
+	// concrete run confirms MIMIC-style. The solver never consults it,
+	// so verdicts and every solver counter are the same with it off.
 	Absint bool
 	// AbsintWiden overrides the widening threshold of the mining
 	// analysis (0 = absint default). Only meaningful with Absint.
@@ -184,16 +170,9 @@ type Report struct {
 	// execution ("#Instr" of Table 1).
 	TraceInstrs int64
 	// TotalSATVars/TotalSATClauses accumulate the CNF volume blasted
-	// across all solver queries; AbsintDischarged counts queries the
-	// abstract pre-discharge pass decided and AbsintBits the variable
-	// bits it pinned during blasting (Config.Absint only).
-	TotalSATVars     int64
-	TotalSATClauses  int64
-	AbsintDischarged int64
-	AbsintBits       int64
-	// Portfolio accumulates the solver-racing counters across
-	// iterations (zero unless PortfolioWorkers > 1).
-	Portfolio solver.PortfolioStats
+	// across all solver queries.
+	TotalSATVars    int64
+	TotalSATClauses int64
 	// AbsintMined counts static invariant candidates proposed by the
 	// abstract interpreter after a verified reproduction;
 	// AbsintInvariants holds the subset that survived MIMIC-style

@@ -246,8 +246,7 @@ func main() int {
 // TestReproduceWithAbsint drives the iterative chain workload with the
 // abstract-interpretation layer on: the reproduction must still land
 // (verdict parity with the plain run above), and the verified report
-// must carry mined-and-confirmed static invariants plus the absint
-// solver counters.
+// must carry mined-and-confirmed static invariants.
 func TestReproduceWithAbsint(t *testing.T) {
 	mod := compile(t, chainSrc)
 	rep, err := core.Reproduce(core.Config{

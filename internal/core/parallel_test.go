@@ -9,32 +9,23 @@ import (
 	"execrecon/internal/vm"
 )
 
-// TestReproducePortfolioParity runs the stall-then-iterate scenario
-// with and without portfolio racing: the reconstruction outcome must be
-// identical — racing changes latency, never verdicts — and the racing
-// run's counters must reach the report. Each run solves every query
-// fresh, with no state carried between queries.
+// TestReproducePortfolioParity runs the stall-then-iterate scenario on
+// the one solver path, which once raced a portfolio of searches: each
+// query is solved fresh, with no state carried between queries, and the
+// reconstruction must reproduce and verify.
 func TestReproducePortfolioParity(t *testing.T) {
 	t.Run("fresh", func(t *testing.T) {
-		for _, workers := range []int{0, 4} {
-			mod := compile(t, chainSrc)
-			rep, err := core.Reproduce(core.Config{
-				Module:            mod,
-				Gen:               &core.FixedWorkload{Workload: chainWorkload(), Seed: 1},
-				Symex:             symex.Options{QueryBudget: 30_000},
-				PortfolioWorkers:  workers,
-				PortfolioCubeVars: 2,
-			})
-			if err != nil {
-				t.Fatalf("workers=%d: reproduce: %v", workers, err)
-			}
-			if !rep.Reproduced || !rep.Verified {
-				t.Fatalf("workers=%d: reproduced=%v verified=%v reason=%s",
-					workers, rep.Reproduced, rep.Verified, rep.FailReason)
-			}
-			if raced := rep.Portfolio.Races > 0; raced != (workers > 1) {
-				t.Errorf("workers=%d: report counts %d races", workers, rep.Portfolio.Races)
-			}
+		mod := compile(t, chainSrc)
+		rep, err := core.Reproduce(core.Config{
+			Module: mod,
+			Gen:    &core.FixedWorkload{Workload: chainWorkload(), Seed: 1},
+			Symex:  symex.Options{QueryBudget: 30_000},
+		})
+		if err != nil {
+			t.Fatalf("reproduce: %v", err)
+		}
+		if !rep.Reproduced || !rep.Verified {
+			t.Fatalf("reproduced=%v verified=%v reason=%s", rep.Reproduced, rep.Verified, rep.FailReason)
 		}
 	})
 }

@@ -120,14 +120,6 @@ func (p *Pipeline) mineInvariants(tc *vm.Workload) {
 		len(cands), len(p.rep.AbsintInvariants))
 }
 
-// portfolio assembles the solver racing options from the config knobs.
-func (c *Config) portfolio() solver.PortfolioOptions {
-	return solver.PortfolioOptions{
-		Workers:  c.PortfolioWorkers,
-		CubeVars: c.PortfolioCubeVars,
-	}
-}
-
 // Deployed returns the module production must currently run — the
 // pristine module before the first stall, the ptwrite-instrumented
 // one after each key data value selection.
@@ -235,17 +227,11 @@ func (p *Pipeline) Feed(occ *Occurrence) (bool, error) {
 	if sxOpts.Stop == nil {
 		sxOpts.Stop = p.stop
 	}
-	if sxOpts.Portfolio.Workers == 0 {
-		sxOpts.Portfolio = p.cfg.portfolio()
-	}
 	if sxOpts.Slice == nil && p.an != nil {
 		sxOpts.Slice = p.an
 	}
 	if sxOpts.Metrics == nil {
 		sxOpts.Metrics = p.cfg.Telemetry
-	}
-	if !sxOpts.Absint {
-		sxOpts.Absint = p.cfg.Absint
 	}
 	var src pt.EventSource
 	if occ.Trace != nil {
@@ -277,9 +263,6 @@ func (p *Pipeline) Feed(occ *Occurrence) (bool, error) {
 	p.rep.TotalSolverTime += sres.Stats.SolverTime
 	p.rep.TotalSATVars += sres.Stats.SATVars
 	p.rep.TotalSATClauses += sres.Stats.SATClauses
-	p.rep.AbsintDischarged += sres.Stats.AbsintDischarged
-	p.rep.AbsintBits += sres.Stats.AbsintBits
-	p.rep.Portfolio.Merge(sres.Stats.Portfolio)
 	shSpan.SetAttr("status", sres.Status.String())
 	shSpan.SetAttr("trace_events", it.TraceEvents)
 	shSpan.SetAttr("instrs", sres.Stats.Instrs)

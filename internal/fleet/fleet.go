@@ -84,20 +84,12 @@ type Options struct {
 	// Timeout bounds the whole fleet run (default 2 minutes;
 	// negative disables).
 	Timeout time.Duration
-	// PortfolioWorkers, when > 1, races each bucket pipeline's solver
-	// queries across that many seeded CDCL workers (first definitive
-	// verdict wins, the rest are cancelled). Verdict-preserving; an
-	// app can override via its own Symex.Portfolio options.
-	PortfolioWorkers int
-	// PortfolioCubeVars additionally splits grown queries into 2^n
-	// cube workers (cube and conquer); only meaningful with
-	// PortfolioWorkers > 1.
-	PortfolioCubeVars int
-	// Absint enables the abstract-interpretation layer in every
-	// bucket pipeline: solver pre-discharge + narrowed blasting, and
-	// verified static invariant mining on reproduction. Registered
-	// apps additionally get an upfront provable-lint pass whose
-	// error-level proof count lands on er_absint_lint_proofs_total.
+	// Absint runs the abstract interpreter (internal/absint) twice:
+	// once upfront, a provable-lint pass over every registered app
+	// whose error-level proof count lands on
+	// er_absint_lint_proofs_total, and in every bucket pipeline, the
+	// verified static invariant mining of core.Config.Absint. The
+	// solver never consults it.
 	Absint bool
 	// AbsintWiden overrides the widening threshold (0 = default).
 	AbsintWiden int
@@ -503,18 +495,16 @@ func (f *Fleet) runBucket(b *Bucket) {
 		return
 	}
 	p, err := core.NewPipeline(core.Config{
-		Module:            g.app.Module,
-		Entry:             g.app.Entry,
-		Symex:             g.app.Symex,
-		MaxIterations:     f.opts.MaxIterations,
-		RingSize:          f.opts.RingSize,
-		PortfolioWorkers:  f.opts.PortfolioWorkers,
-		PortfolioCubeVars: f.opts.PortfolioCubeVars,
-		Absint:            f.opts.Absint,
-		AbsintWiden:       f.opts.AbsintWiden,
-		Telemetry:         f.opts.Telemetry,
-		Tracer:            f.opts.Tracer,
-		Log:               f.opts.Log,
+		Module:        g.app.Module,
+		Entry:         g.app.Entry,
+		Symex:         g.app.Symex,
+		MaxIterations: f.opts.MaxIterations,
+		RingSize:      f.opts.RingSize,
+		Absint:        f.opts.Absint,
+		AbsintWiden:   f.opts.AbsintWiden,
+		Telemetry:     f.opts.Telemetry,
+		Tracer:        f.opts.Tracer,
+		Log:           f.opts.Log,
 	})
 	if err != nil {
 		f.logf("fleet: bucket %d (%s): %v", b.ID, b.App, err)
@@ -606,7 +596,6 @@ func (f *Fleet) feedOccurrence(b *Bucket, g *appGroup, p *core.Pipeline, occ *co
 		f.logf("fleet: bucket %d (%s): pipeline: %v", b.ID, b.App, err)
 	}
 	b.iterations.Store(int32(len(p.Report().Iterations)))
-	b.recordPortfolio(p)
 	if p.Version() != before && !p.Done() {
 		// Key data values selected: roll the instrumented
 		// module out to this app's machines.
@@ -713,7 +702,6 @@ func (f *Fleet) ResolveBucket(b *Bucket, rep *core.Report) bool {
 	}
 	b.report.Store(rep)
 	b.iterations.Store(int32(len(rep.Iterations)))
-	b.portfolio.Store(&rep.Portfolio)
 	if rep.Reproduced {
 		b.state.Store(int32(BucketReproduced))
 	} else {

@@ -397,60 +397,3 @@ func TestIngestShardsBySignature(t *testing.T) {
 		}
 	}
 }
-
-// TestFleetPortfolioRacing re-runs the fleet stress with portfolio
-// racing enabled (run with -race): verdicts must match the sequential
-// fleet, and the racing counters must surface in the per-bucket and
-// aggregate snapshots. gamma's stall-and-retry bucket is what races
-// non-trivial queries.
-func TestFleetPortfolioRacing(t *testing.T) {
-	apps := testApps(t)
-	f, err := New(apps, Options{
-		Shards:           4,
-		QueueCap:         32,
-		Workers:          4,
-		MachinesPerApp:   3,
-		Pace:             50 * time.Microsecond,
-		Timeout:          60 * time.Second,
-		PortfolioWorkers: 4,
-	})
-	if err != nil {
-		t.Fatalf("New: %v", err)
-	}
-	if err := f.Start(); err != nil {
-		t.Fatalf("Start: %v", err)
-	}
-	_ = f.Snapshot() // live stats surface mid-run
-
-	res, err := f.Wait()
-	if err != nil {
-		t.Fatalf("Wait: %v\nsnapshot: %+v", err, f.Snapshot())
-	}
-	if len(res.Buckets) != 3 {
-		t.Fatalf("buckets = %d, want 3: %+v", len(res.Buckets), res.Buckets)
-	}
-	for _, b := range res.Buckets {
-		if !b.Reproduced || !b.Verified {
-			t.Errorf("bucket %s: reproduced=%v verified=%v (report %+v)",
-				b.App, b.Reproduced, b.Verified, b.Report)
-		}
-	}
-	// Racing must have happened somewhere and the per-bucket counters
-	// must sum to the aggregate.
-	if res.Final.Portfolio.Races == 0 {
-		t.Errorf("Portfolio.Races = 0 with workers=4: %+v", res.Final.Portfolio)
-	}
-	var races int64
-	for _, b := range res.Final.Buckets {
-		races += b.Portfolio.Races
-	}
-	if races != res.Final.Portfolio.Races {
-		t.Errorf("per-bucket races %d != aggregate %d", races, res.Final.Portfolio.Races)
-	}
-	wins := res.Final.Portfolio.BaseWins + res.Final.Portfolio.SeedWins +
-		res.Final.Portfolio.CubeWins + res.Final.Portfolio.Unknowns
-	if wins != res.Final.Portfolio.Races {
-		t.Errorf("race outcomes %d != races %d: %+v", wins, res.Final.Portfolio.Races, res.Final.Portfolio)
-	}
-	t.Logf("portfolio: %+v", res.Final.Portfolio)
-}

@@ -4,7 +4,6 @@ import (
 	"time"
 
 	"execrecon/internal/prod"
-	"execrecon/internal/solver"
 	"execrecon/internal/tracestore"
 )
 
@@ -26,10 +25,6 @@ type Snapshot struct {
 	// LintProofs is the error-level provable-lint finding count over
 	// the registered app modules (zero unless Options.Absint).
 	LintProofs int64
-	// Portfolio aggregates the buckets' solver-racing counters (all
-	// zero unless Options.PortfolioWorkers > 1): races run, wins by
-	// worker kind, and learned-clause exchange traffic.
-	Portfolio solver.PortfolioStats
 	// StoreEnabled reports whether the fleet runs with a persistent
 	// trace archive (Options.Store); Store is then its stats snapshot:
 	// live segments, raw vs stored bytes (the delta-compression win),
@@ -75,9 +70,6 @@ type BucketSnapshot struct {
 	// invariant mining (zero unless Options.Absint).
 	AbsintMined    int
 	AbsintVerified int
-	// Portfolio carries the pipeline's solver-racing counters (zero
-	// unless Options.PortfolioWorkers > 1).
-	Portfolio solver.PortfolioStats
 	// Reproduced/Verified mirror the pipeline report once resolved.
 	Reproduced bool
 	Verified   bool
@@ -114,7 +106,6 @@ func (f *Fleet) Snapshot() Snapshot {
 		bs := f.snapshotBucket(b)
 		s.Spills += bs.Spills
 		s.Replayed += bs.Replayed
-		s.Portfolio.Merge(bs.Portfolio)
 		s.Buckets = append(s.Buckets, bs)
 	}
 	return s
@@ -135,7 +126,6 @@ func (f *Fleet) snapshotBucket(b *Bucket) BucketSnapshot {
 		Spills:       b.spills.Load(),
 		Replayed:     b.replayed.Load(),
 		Iterations:   int(b.iterations.Load()),
-		Portfolio:    b.loadPortfolio(),
 	}
 	if rep := b.report.Load(); rep != nil {
 		bs.Reproduced = rep.Reproduced

@@ -151,19 +151,17 @@ func TestFleetDebugEndpointJSON(t *testing.T) {
 // TestSnapshotRaceDuringIngest is the silent-stats-loss regression:
 // hammer Snapshot (and the registry collection callbacks) from
 // several goroutines while the fleet ingests, triages, and runs
-// pipelines. Run with -race. It also checks the per-bucket solver
-// racing counters are internally consistent in every observed
-// snapshot — a field-per-atomic mirror could surface torn combinations
-// such as more attributed race outcomes than races.
+// pipelines. Run with -race. It also checks every observed bucket
+// snapshot is internally consistent: a bucket verified but not
+// reproduced would be a torn read of its report.
 func TestSnapshotRaceDuringIngest(t *testing.T) {
 	reg := telemetry.New()
 	f, err := New(testApps(t), Options{
-		Workers:          4,
-		MachinesPerApp:   3,
-		Pace:             50 * time.Microsecond,
-		Timeout:          60 * time.Second,
-		PortfolioWorkers: 4,
-		Telemetry:        reg,
+		Workers:        4,
+		MachinesPerApp: 3,
+		Pace:           50 * time.Microsecond,
+		Timeout:        60 * time.Second,
+		Telemetry:      reg,
 	})
 	if err != nil {
 		t.Fatalf("New: %v", err)
@@ -188,13 +186,10 @@ func TestSnapshotRaceDuringIngest(t *testing.T) {
 				}
 				s := f.Snapshot()
 				for _, b := range s.Buckets {
-					// Races and their outcomes are published together;
-					// any cross-field inconsistency means a torn read.
-					p := b.Portfolio
-					if won := p.BaseWins + p.SeedWins + p.CubeWins + p.Unknowns; won != p.Races {
+					// Both flags come from one published report.
+					if b.Verified && !b.Reproduced {
 						mu.Lock()
-						torn = append(torn, fmt.Sprintf(
-							"bucket %s: %d races with %d outcomes", b.App, p.Races, won))
+						torn = append(torn, fmt.Sprintf("bucket %s: verified, not reproduced", b.App))
 						mu.Unlock()
 					}
 				}
@@ -212,7 +207,7 @@ func TestSnapshotRaceDuringIngest(t *testing.T) {
 		t.Fatalf("Wait: %v", err)
 	}
 	if len(torn) > 0 {
-		t.Errorf("torn portfolio-stat reads observed: %v", torn)
+		t.Errorf("torn bucket snapshots observed: %v", torn)
 	}
 	for _, b := range res.Buckets {
 		if !b.Reproduced {
@@ -251,8 +246,9 @@ func grepLines(s, substr string) string {
 
 // TestFleetAbsintTelemetryRoundTrip runs an absint-enabled fleet whose
 // app set includes a module with a provably out-of-bounds store in a
-// dead helper, scrapes /metrics and /debug/er, and checks the
-// er_absint_* series round-trip against the fleet snapshot.
+// dead helper, scrapes /metrics and /debug/er, and checks the lint
+// proof count round-trips against the fleet snapshot and that the
+// verified buckets carry mined invariants.
 func TestFleetAbsintTelemetryRoundTrip(t *testing.T) {
 	reg := telemetry.New()
 	apps := testApps(t)
@@ -317,33 +313,9 @@ func main() int {
 		t.Fatalf("WritePrometheus: %v", err)
 	}
 	body := sb.String()
-	for _, name := range []string{
-		"er_absint_lint_proofs_total",
-		"er_absint_oneshot_discharged_total",
-		"er_absint_oneshot_bits_total",
-	} {
-		if !strings.Contains(body, name) {
-			t.Errorf("exposition missing %s", name)
-		}
-	}
 	want := fmt.Sprintf("er_absint_lint_proofs_total %d", snap.LintProofs)
 	if !strings.Contains(body, want) {
 		t.Errorf("lint proofs mismatch: want %q in\n%s", want, grepLines(body, "er_absint"))
-	}
-	// The engines' absint counters must agree with the bucket reports,
-	// which sum the same per-run statistics.
-	var discharged, bits int64
-	for _, b := range res.Buckets {
-		discharged += b.Report.AbsintDischarged
-		bits += b.Report.AbsintBits
-	}
-	for name, want := range map[string]int64{
-		"er_absint_oneshot_discharged_total": discharged,
-		"er_absint_oneshot_bits_total":       bits,
-	} {
-		if line := fmt.Sprintf("%s %d", name, want); !strings.Contains(body, line) {
-			t.Errorf("report mismatch: want %q in\n%s", line, grepLines(body, name))
-		}
 	}
 	// The verified buckets of an absint fleet carry mined invariants.
 	mined := 0

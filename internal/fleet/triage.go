@@ -7,7 +7,6 @@ import (
 
 	"execrecon/internal/core"
 	"execrecon/internal/prod"
-	"execrecon/internal/solver"
 	"execrecon/internal/vm"
 )
 
@@ -80,35 +79,14 @@ type Bucket struct {
 	// mode, making resolution idempotent across lease re-dispatch and
 	// coordinator commit-log replay.
 	remoteResolved atomic.Bool
-	// portfolio mirrors the pipeline report's solver-racing counters
-	// after each fed occurrence. One pointer store publishes the whole
-	// struct, so a concurrent Snapshot always reads an internally
-	// consistent set of counters without touching the
-	// (single-goroutine) pipeline.
-	portfolio atomic.Pointer[solver.PortfolioStats]
-	report    atomic.Pointer[core.Report]
-	firstSeen time.Time
-	doneAt    atomic.Int64 // unix nanos; 0 while in flight
+	report         atomic.Pointer[core.Report]
+	firstSeen      time.Time
+	doneAt         atomic.Int64 // unix nanos; 0 while in flight
 }
 
 // Occurrences returns the total matching occurrences triaged into the
 // bucket (including ones later dropped as stale or overflowed).
 func (b *Bucket) Occurrences() int64 { return b.occurrences.Load() }
-
-// recordPortfolio publishes the pipeline report's racing counters.
-func (b *Bucket) recordPortfolio(p *core.Pipeline) {
-	st := p.Report().Portfolio
-	b.portfolio.Store(&st)
-}
-
-// loadPortfolio returns the last published racing counters (zero
-// value before the first publication).
-func (b *Bucket) loadPortfolio() solver.PortfolioStats {
-	if st := b.portfolio.Load(); st != nil {
-		return *st
-	}
-	return solver.PortfolioStats{}
-}
 
 // State returns the bucket's lifecycle state.
 func (b *Bucket) State() BucketState { return BucketState(b.state.Load()) }

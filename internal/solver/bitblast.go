@@ -3,7 +3,6 @@ package solver
 import (
 	"fmt"
 
-	"execrecon/internal/absint"
 	"execrecon/internal/expr"
 )
 
@@ -19,11 +18,6 @@ type blaster struct {
 	bits map[*expr.Expr][]lit
 	vars map[string][]lit // expr var name -> bit literals
 	slab []lit            // backing store of the bit vectors (see vec)
-
-	// narrow, when set, pins variable bits the abstract interpreter
-	// proved constant for every model of the current query.
-	narrow       map[string]absint.Val
-	bitsNarrowed int
 
 	err error
 }
@@ -285,14 +279,8 @@ func (b *blaster) blast(e *expr.Expr) []lit {
 		out = b.constBits(e.Val, w)
 	case expr.KVar:
 		out = b.vec(w)
-		nv, pin := b.narrow[e.Name]
-		for i := 0; i < w; i++ {
-			if pin && nv.Mask>>uint(i)&1 == 1 {
-				out[i] = b.constLit(nv.Bits>>uint(i)&1 == 1)
-				b.bitsNarrowed++
-			} else {
-				out[i] = b.freshLit()
-			}
+		for i := range out {
+			out[i] = b.freshLit()
 		}
 		b.vars[e.Name] = out
 	case expr.KAdd:
@@ -514,10 +502,8 @@ func (b *blaster) assert(e *expr.Expr) {
 }
 
 // modelVar reads back the model value of a named expression variable
-// from core's model — after a portfolio race the winning model may
-// live on a replica of the blaster's own core, which shares its
-// variable numbering, so the blaster's literal maps apply unchanged.
-func (b *blaster) modelVar(core *sat, name string) (uint64, bool) {
+// from the core's model.
+func (b *blaster) modelVar(name string) (uint64, bool) {
 	bs, ok := b.vars[name]
 	if !ok {
 		return 0, false
@@ -529,7 +515,7 @@ func (b *blaster) modelVar(core *sat, name string) (uint64, bool) {
 		// model-read bits still need the flip.
 		bit, isC := b.isConstLit(l)
 		if !isC {
-			bit = core.modelValue(l.vindex())
+			bit = b.s.modelValue(l.vindex())
 			if l.sign() {
 				bit = !bit
 			}

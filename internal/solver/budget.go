@@ -15,8 +15,8 @@ var budgetNow = time.Now
 
 // Cancel is a goroutine-safe cancellation flag. Cancels chain: a
 // Cancel created with a parent observes the parent's cancellation as
-// its own, so a portfolio race can be stopped either by its local
-// winner or by the pipeline-wide abort above it.
+// its own, so a flag scoped to one stage also trips when the
+// pipeline-wide abort above it does.
 //
 // The zero value is usable; a nil *Cancel never reports canceled.
 type Cancel struct {
@@ -55,10 +55,10 @@ func (c *Cancel) Canceled() bool {
 // with MaxSteps as a determinism-friendly stand-in used throughout the
 // test suite and benchmark harness.
 //
-// A Budget is safe to share across goroutines: racing portfolio
-// workers metering against one shared budget account their steps with
-// atomics, and Stop gives callers a prompt cancellation path that is
-// observed on every spend rather than only at the deadline cadence.
+// A Budget is safe to share across goroutines: concurrent spends are
+// accounted with atomics, and Stop gives callers a prompt cancellation
+// path that is observed on every spend rather than only at the
+// deadline cadence.
 type Budget struct {
 	MaxSteps int64
 	// Timeout bounds the solve to a monotonic duration measured from

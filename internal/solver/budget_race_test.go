@@ -10,9 +10,8 @@ import (
 
 // TestBudgetSharedAccounting is the regression test for the shared-
 // budget data race: spend used to mutate used/exhausted/lastCheck with
-// plain loads and stores, so one budget metering K racing portfolio
-// workers was a race (and could both lose steps and over-grant past
-// MaxSteps). Run under -race, this test fails on the pre-fix code; the
+// plain loads and stores, so one budget metered by several goroutines
+// was a race (and could both lose steps and over-grant past MaxSteps). Run under -race, this test fails on the pre-fix code; the
 // accounting assertions additionally pin exactness.
 func TestBudgetSharedAccounting(t *testing.T) {
 	const workers, per = 8, 10000

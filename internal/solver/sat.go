@@ -104,10 +104,9 @@ type sat struct {
 
 	seen []bool
 
-	// Scratch buffers reused across calls: the clause under
-	// construction in analyze, and addClauseDynamic's simplified copy.
+	// learntBuf is the clause under construction in analyze, reused
+	// across conflicts.
 	learntBuf []lit
-	addBuf    []lit
 
 	numVars      int
 	failed       bool
@@ -115,28 +114,10 @@ type sat struct {
 	conflicts    int64
 	decisions    int64
 
-	// Diversification for portfolio racing (setSeed). Seed 0 keeps
-	// the solver exactly as deterministic as it has always been; a
-	// non-zero seed mixes rare random decisions and phase flips into
-	// the search and varies the restart interval, so K workers on the
-	// same CNF explore different parts of the space.
-	seed        uint64
-	rng         uint64 // xorshift64 state; never zero once seeded
-	randDecPm   uint64 // per-mille chance a decision picks a random var
-	randPhasePm uint64 // per-mille chance a decision gets a random phase
-	restartBase int64  // Luby restart unit (conflicts)
-
-	// exchange, when non-nil, shares short learnt clauses between the
-	// racing workers of one portfolio query (see clauseExchange).
-	exchange       *clauseExchange
-	exchangeID     int
-	exchangeCursor int
-
 	budget *Budget
 }
 
-// defaultRestartBase is the Luby restart unit the solver has always
-// used; seeded portfolio workers vary it per seed.
+// defaultRestartBase is the Luby restart unit, in conflicts.
 const defaultRestartBase = 64
 
 func newSAT(budget *Budget) *sat {
@@ -146,9 +127,9 @@ func newSAT(budget *Budget) *sat {
 }
 
 // reset returns the core to its freshly constructed state (no
-// variables beyond the placeholder, no clauses, the seed-0 search)
-// while keeping the capacity of every vector and watch list, so a core
-// answering one query after another stops regrowing them from zero.
+// variables beyond the placeholder, no clauses) while keeping the
+// capacity of every vector and watch list, so a core answering one
+// query after another stops regrowing them from zero.
 func (s *sat) reset(budget *Budget) {
 	*s = sat{
 		arena:     append(s.arena[:0], 0), // cref 0 sentinel
@@ -166,11 +147,9 @@ func (s *sat) reset(budget *Budget) {
 		heapPos:   s.heapPos[:0],
 		seen:      s.seen[:0],
 		learntBuf: s.learntBuf[:0],
-		addBuf:    s.addBuf[:0],
 
-		varInc:      1,
-		budget:      budget,
-		restartBase: defaultRestartBase,
+		varInc: 1,
+		budget: budget,
 	}
 	s.newVar() // var 0 placeholder
 }
@@ -193,34 +172,6 @@ func (s *sat) allocClause(lits []lit, learnt bool) cref {
 	s.arena = append(s.arena, h)
 	s.arena = append(s.arena, lits...)
 	return c
-}
-
-// setSeed installs the diversification seed. Seed 0 restores the
-// fully deterministic default search; distinct non-zero seeds give
-// distinct restart cadences, decision noise, and phase noise.
-func (s *sat) setSeed(seed uint64) {
-	s.seed = seed
-	if seed == 0 {
-		s.rng, s.randDecPm, s.randPhasePm = 0, 0, 0
-		s.restartBase = defaultRestartBase
-		return
-	}
-	s.rng = seed*0x9E3779B97F4A7C15 | 1 // splitmix-style spread, never zero
-	s.randDecPm = 20
-	s.randPhasePm = 10
-	bases := [...]int64{32, 64, 128, 256}
-	s.restartBase = bases[seed%uint64(len(bases))]
-}
-
-// nextRand is xorshift64 — tiny, deterministic per seed, and fast
-// enough to sit on the decision path.
-func (s *sat) nextRand() uint64 {
-	x := s.rng
-	x ^= x << 13
-	x ^= x >> 7
-	x ^= x << 17
-	s.rng = x
-	return x
 }
 
 func (s *sat) newVar() int {
@@ -255,32 +206,21 @@ func (s *sat) value(l lit) tribool {
 	return v
 }
 
-// addClause installs a problem clause; it returns false if the clause
-// system is trivially unsatisfiable. It may be called at any decision
-// level: a clause imported mid-search that cannot be attached safely
-// under the current partial assignment first backtracks to level 0
-// (see addClauseDynamic).
+// addClause installs a problem clause at decision level 0; it returns
+// false if the clause system is trivially unsatisfiable. It simplifies
+// lits in place: duplicate and false literals are removed, and
+// tautologies and satisfied clauses are dropped. A false return marks
+// the solver permanently failed (unsatisfiable at level 0). Duplicate
+// detection is a linear scan over the kept prefix — clauses here are
+// Tseitin-sized (2-3 literals), and the map this used to allocate per
+// clause dominated blasting time.
 func (s *sat) addClause(lits []lit) bool {
-	if s.decisionLevel() > 0 {
-		return s.addClauseDynamic(lits)
-	}
-	return s.addClauseAtZero(lits)
-}
-
-// addClauseAtZero is the classic level-0 install path.
-func (s *sat) addClauseAtZero(lits []lit) bool {
-	// Remove duplicate and false literals; detect tautologies and
-	// satisfied clauses at level 0. A false return marks the solver
-	// permanently failed (unsatisfiable at level 0). Duplicate
-	// detection is a linear scan over the kept prefix — clauses here
-	// are Tseitin-sized (2-3 literals), and the map this used to
-	// allocate per clause dominated blasting time.
 	out := lits[:0]
-outerZero:
+outer:
 	for _, l := range lits {
 		for _, o := range out {
 			if o == l {
-				continue outerZero
+				continue outer
 			}
 			if o == l.negate() {
 				return true // tautology
@@ -318,88 +258,6 @@ outerZero:
 		return true
 	}
 	c := s.allocClause(lits, false)
-	s.clauses = append(s.clauses, c)
-	s.watchClause(c)
-	return true
-}
-
-// addClauseDynamic attaches a clause while a partial trail is in place
-// — a portfolio worker importing a sibling's learnt clause at a restart
-// above its assumption levels — avoiding a full backtrack-to-zero that
-// would re-propagate the whole database. Safety argument:
-//
-//   - ≥2 literals non-false under the current assignment: watch two of
-//     them. A watch falsified later flows through propagate as usual; a
-//     watch false *before* attach never needs an event because the
-//     other watch is non-false, and if it too is falsified later the
-//     examination sees the clause as unit/conflicting then.
-//   - exactly 1 non-false literal: the clause is unit under the current
-//     trail. Watch the non-false literal plus the deepest false one and
-//     enqueue the implication at the current level with the clause as
-//     reason (a "late implication", at a higher level than strictly
-//     necessary — sound for CDCL, merely less precise for backjumps).
-//   - 0 non-false literals, or a unit clause: these must live at level
-//     0 to survive later backtracks, so fall back to a full backtrack
-//     plus the classic install path.
-func (s *sat) addClauseDynamic(lits []lit) bool {
-	// Level-0 simplification only (higher-level assignments are
-	// transient and must not erase literals). Duplicate detection is a
-	// linear scan over the kept prefix, as in addClauseAtZero.
-	out := s.addBuf[:0]
-outerDyn:
-	for _, l := range lits {
-		for _, o := range out {
-			if o == l {
-				continue outerDyn
-			}
-			if o == l.negate() {
-				return true // tautology
-			}
-		}
-		switch s.value(l) {
-		case tTrue:
-			if s.level[l.vindex()] == 0 {
-				return true
-			}
-		case tFalse:
-			if s.level[l.vindex()] == 0 {
-				continue
-			}
-		}
-		out = append(out, l)
-	}
-	s.addBuf = out
-	// Partition: non-false literals first.
-	nf := 0
-	for i, l := range out {
-		if s.value(l) != tFalse {
-			out[i], out[nf] = out[nf], out[i]
-			nf++
-		}
-	}
-	if len(out) < 2 || nf == 0 {
-		s.backtrackTo(0)
-		return s.addClauseAtZero(out)
-	}
-	if nf == 1 {
-		// Unit under the current trail: watch out[0] plus the deepest
-		// falsified literal.
-		maxI := 1
-		for i := 2; i < len(out); i++ {
-			if s.level[out[i].vindex()] > s.level[out[maxI].vindex()] {
-				maxI = i
-			}
-		}
-		out[1], out[maxI] = out[maxI], out[1]
-		c := s.allocClause(out, false)
-		s.clauses = append(s.clauses, c)
-		s.watchClause(c)
-		if s.value(out[0]) == tUndef {
-			s.uncheckedEnqueue(out[0], c)
-		}
-		return true
-	}
-	c := s.allocClause(out, false)
 	s.clauses = append(s.clauses, c)
 	s.watchClause(c)
 	return true
@@ -590,16 +448,6 @@ func (s *sat) backtrackTo(level int) {
 }
 
 func (s *sat) pickBranchVar() int {
-	// Seeded workers occasionally branch on a uniformly random
-	// undecided variable instead of the activity maximum. The variable
-	// is peeked, not removed: when it is later popped while assigned
-	// the loop below discards it, and backtracking reinserts only
-	// variables absent from the heap, so the heap stays consistent.
-	if s.randDecPm > 0 && len(s.heap) > 0 && s.nextRand()%1000 < s.randDecPm {
-		if v := s.heap[s.nextRand()%uint64(len(s.heap))]; s.assigns[v] == tUndef {
-			return v
-		}
-	}
 	for len(s.heap) > 0 {
 		v := s.heapRemoveMax()
 		if s.assigns[v] == tUndef {
@@ -689,29 +537,16 @@ const (
 	satUnknown
 )
 
-// solve runs the CDCL loop. On satSat, assigns holds a full model.
-func (s *sat) solve() satResult { return s.solveAssume(nil) }
-
-// solveAssume runs the CDCL loop under the given assumption literals
-// (MiniSat-style). Assumptions are enqueued as the first decisions, one
-// per decision level, and are re-enqueued automatically after
-// backjumps; if unit propagation ever forces an assumption false the
-// formula is unsatisfiable *under the assumptions* (satUnsat) without
-// poisoning the clause database. Because assumptions are decisions
-// rather than clauses, every clause learnt during the search is a
-// consequence of the problem clauses alone — which is what lets a
-// portfolio's cube workers, each searching under its own cube of
-// assumptions, share learnt clauses soundly. On satSat, assigns holds
-// a full model extending the assumptions; on satUnsat or satUnknown
-// the trail is fully retracted.
-func (s *sat) solveAssume(assumps []lit) satResult {
+// solve runs the CDCL loop. On satSat, assigns holds a full model; on
+// satUnsat or satUnknown the trail is fully retracted.
+func (s *sat) solve() satResult {
 	if s.failed {
 		s.dropTrail()
 		return satUnsat
 	}
 	s.backtrackTo(0)
 	var restarts int64
-	conflictsUntilRestart := luby(1) * s.restartBase
+	conflictsUntilRestart := luby(1) * defaultRestartBase
 	var conflictCount int64
 	maxLearnts := len(s.clauses)/2 + 1000
 	for {
@@ -724,17 +559,13 @@ func (s *sat) solveAssume(assumps []lit) satResult {
 				return satUnknown
 			}
 			if s.decisionLevel() == 0 {
-				// Conflict with no decisions (and hence no assumptions)
-				// assigned: the clause database itself is
-				// unsatisfiable, permanently.
+				// Conflict with no decisions assigned: the clause
+				// database itself is unsatisfiable, permanently.
 				s.failed = true
 				s.dropTrail()
 				return satUnsat
 			}
 			learnt, bt := s.analyze(conflict)
-			// Publish before attaching: the exchange copies the
-			// scratch clause, which the next analyze overwrites.
-			s.exchange.publish(s.exchangeID, learnt)
 			s.backtrackTo(bt)
 			s.learn(learnt)
 			s.decayActivities()
@@ -743,17 +574,8 @@ func (s *sat) solveAssume(assumps []lit) satResult {
 		if conflictCount >= conflictsUntilRestart {
 			restarts++
 			conflictCount = 0
-			conflictsUntilRestart = luby(restarts+1) * s.restartBase
-			// Restart above the assumption levels: the assumptions are
-			// forced anyway, so re-propagating them buys nothing.
-			s.backtrackTo(len(assumps))
-			// Restart boundaries are where racing workers absorb each
-			// other's learnt clauses: the trail is shallow, so dynamic
-			// attachment is cheap and conflicts surface immediately.
-			if !s.importShared() {
-				s.dropTrail()
-				return satUnsat
-			}
+			conflictsUntilRestart = luby(restarts+1) * defaultRestartBase
+			s.backtrackTo(0)
 		}
 		if len(s.learnts) > maxLearnts {
 			s.reduceLearnts()
@@ -763,61 +585,14 @@ func (s *sat) solveAssume(assumps []lit) satResult {
 			s.dropTrail()
 			return satUnknown
 		}
-		// Enqueue pending assumptions before free decisions. Level i+1
-		// is assumps[i]'s level (already-true assumptions still open a
-		// level so the indexing holds after backjumps).
-		if dl := s.decisionLevel(); dl < len(assumps) {
-			p := assumps[dl]
-			if s.value(p) == tFalse {
-				s.dropTrail()
-				return satUnsat // conflicts with the assumptions
-			}
-			s.trailLim = append(s.trailLim, len(s.trail))
-			if s.value(p) == tUndef {
-				s.uncheckedEnqueue(p, crefNone)
-			}
-			continue
-		}
 		v := s.pickBranchVar()
 		if v < 0 {
 			return satSat
 		}
 		s.decisions++
 		s.trailLim = append(s.trailLim, len(s.trail))
-		neg := !s.polarity[v]
-		if s.randPhasePm > 0 && s.nextRand()%1000 < s.randPhasePm {
-			neg = s.nextRand()&1 == 0
-		}
-		s.uncheckedEnqueue(mkLit(v, neg), crefNone)
+		s.uncheckedEnqueue(mkLit(v, !s.polarity[v]), crefNone)
 	}
-}
-
-// importShared drains clauses other portfolio workers learnt since the
-// last restart into this core. Shared clauses are consequences of the
-// common problem CNF, so attaching them is sound; it reports false
-// when an import exposes root-level unsatisfiability.
-func (s *sat) importShared() bool {
-	for _, lits := range s.exchange.drain(s.exchangeID, &s.exchangeCursor) {
-		if !s.addClause(lits) || s.failed {
-			return false
-		}
-		if conflict := s.propagate(); conflict != crefNone {
-			// Conflict while re-propagating an import at (or near) the
-			// root: let the regular conflict handling see it by
-			// rewinding to level 0; a root conflict is then caught by
-			// the caller's level-0 check on the next iteration.
-			if s.decisionLevel() == 0 {
-				s.failed = true
-				return false
-			}
-			s.backtrackTo(0)
-			if s.propagate() != crefNone {
-				s.failed = true
-				return false
-			}
-		}
-	}
-	return true
 }
 
 // dropTrail fully retracts the trail; called on every non-sat exit.
@@ -907,17 +682,3 @@ func (s *sat) compact() {
 
 // modelValue returns the model value of var v after satSat.
 func (s *sat) modelValue(v int) bool { return s.assigns[v] == tTrue }
-
-// rootFacts returns the level-0 prefix of the trail: every literal
-// forced by the clause database alone, with no decisions involved.
-// Unit clauses never enter s.clauses (they are enqueued directly), so
-// this prefix is the only record of them. The returned slice aliases
-// the trail — copy before mutating, and only read it while the core is
-// idle.
-func (s *sat) rootFacts() []lit {
-	bound := len(s.trail)
-	if s.decisionLevel() > 0 {
-		bound = s.trailLim[0]
-	}
-	return s.trail[:bound]
-}

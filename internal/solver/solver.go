@@ -5,7 +5,6 @@ import (
 	"strings"
 	"time"
 
-	"execrecon/internal/absint"
 	"execrecon/internal/expr"
 )
 
@@ -49,18 +48,6 @@ type Options struct {
 	// and Tseitin gate), not just at the deadline-check cadence. A
 	// canceled solve returns ResultUnknown.
 	Stop *Cancel
-	// Portfolio, when Workers > 1, races the CDCL search phase across
-	// seeded workers (and cube splits) sharing a bounded learned-
-	// clause exchange; the first definitive verdict wins and cancels
-	// the rest. Verdict-preserving: only latency changes.
-	Portfolio PortfolioOptions
-	// Absint enables the abstract-interpretation pre-discharge pass:
-	// before blasting, the query is evaluated in the interval +
-	// known-bits domain (internal/absint). Decided queries skip CDCL
-	// entirely (Sat only with a concretely validated model);
-	// undecided ones blast with refined variable bits pinned to
-	// constants, shrinking the CNF. Verdict-preserving.
-	Absint bool
 }
 
 // DefaultOptions returns options with validation enabled and no
@@ -76,12 +63,6 @@ type Stats struct {
 	Conflicts    int64
 	Decisions    int64
 	Elapsed      time.Duration
-	// AbsintDischarged reports that the abstract pre-discharge pass
-	// decided the query without bit blasting.
-	AbsintDischarged bool
-	// AbsintBits counts variable bits pinned to constants during
-	// blasting from abstract known-bits facts.
-	AbsintBits int
 }
 
 // Solver decides conjunctions of bitvector/array constraints built
@@ -89,15 +70,10 @@ type Stats struct {
 // blasts and searches in a workspace borrowed for the call (see
 // workspace), so a Solver holds no search state between calls.
 type Solver struct {
-	b      *expr.Builder
-	opts   Options
-	last   Stats
-	pstats PortfolioStats
+	b    *expr.Builder
+	opts Options
+	last Stats
 }
-
-// PortfolioStats returns the cumulative racing counters (zero when no
-// portfolio is configured).
-func (s *Solver) PortfolioStats() PortfolioStats { return s.pstats }
 
 // New returns a Solver over builder b.
 func New(b *expr.Builder, opts Options) *Solver {
@@ -118,8 +94,8 @@ func (s *Solver) Solve(cs []*expr.Expr) (Result, *expr.Assignment, error) {
 	// solves ER's stall detection keys off. (They used to be recorded
 	// only on the happy path, so stalled queries reported zero
 	// SATVars/SATClauses and CDCL counters.)
-	// The workspace goes back on the same path, after raceSearch has
-	// joined its workers and the model has been extracted.
+	// The workspace goes back on the same path, after the model has
+	// been extracted.
 	var ws *workspace
 	defer func() {
 		s.last.Steps = budget.Used()
@@ -153,23 +129,6 @@ func (s *Solver) Solve(cs []*expr.Expr) (Result, *expr.Assignment, error) {
 		return ResultSat, expr.NewAssignment(), nil
 	}
 
-	// Stage 0: abstract pre-discharge. Unsat is proven by
-	// over-approximation; Sat verdicts carry a model AnalyzeQuery has
-	// already validated concretely against the constraints.
-	var narrow map[string]absint.Val
-	if s.opts.Absint {
-		aq := absint.AnalyzeQuery(s.b, remaining, absint.QueryOptions{WantModel: true})
-		switch aq.Verdict {
-		case absint.VerdictUnsat:
-			s.last.AbsintDischarged = true
-			return ResultUnsat, nil, nil
-		case absint.VerdictSat:
-			s.last.AbsintDischarged = true
-			return ResultSat, aq.Model, nil
-		}
-		narrow = aq.Vars
-	}
-
 	// Stage 1: array elimination.
 	elim := newArrayElim(s.b, budget)
 	pure, err := elim.run(remaining)
@@ -180,10 +139,9 @@ func (s *Solver) Solve(cs []*expr.Expr) (Result, *expr.Assignment, error) {
 		return ResultUnknown, nil, err
 	}
 
-	// Stage 2: bit blasting, with query-refined variable bits pinned.
+	// Stage 2: bit blasting.
 	ws = acquireWorkspace(budget)
 	core, bl := &ws.core, &ws.bl
-	bl.narrow = narrow
 	unsatEarly := false
 	for _, c := range pure {
 		if c.IsTrue() {
@@ -198,7 +156,6 @@ func (s *Solver) Solve(cs []*expr.Expr) (Result, *expr.Assignment, error) {
 			break
 		}
 	}
-	s.last.AbsintBits = bl.bitsNarrowed
 	if bl.err == errBudget {
 		return ResultUnknown, nil, nil
 	}
@@ -209,10 +166,8 @@ func (s *Solver) Solve(cs []*expr.Expr) (Result, *expr.Assignment, error) {
 		return ResultUnsat, nil, nil
 	}
 
-	// Stage 3: CDCL — raced across seeded workers when a portfolio is
-	// configured, solo otherwise. The winner core holds the model.
-	sres, winner := raceSearch(core, s.opts.Portfolio, &s.pstats)
-	switch sres {
+	// Stage 3: CDCL search.
+	switch core.solve() {
 	case satUnsat:
 		return ResultUnsat, nil, nil
 	case satUnknown:
@@ -220,7 +175,7 @@ func (s *Solver) Solve(cs []*expr.Expr) (Result, *expr.Assignment, error) {
 	}
 
 	// Stage 4: model extraction.
-	asn, err := extractModelFrom(bl, elim, winner)
+	asn, err := extractModel(bl, elim)
 	if err != nil {
 		return ResultUnknown, nil, err
 	}
@@ -236,17 +191,16 @@ func (s *Solver) Solve(cs []*expr.Expr) (Result, *expr.Assignment, error) {
 	return ResultSat, asn, nil
 }
 
-// extractModelFrom builds the satisfying assignment from core's SAT
-// model — the portfolio race's winner, which may be a replica of the
-// blaster's own core: named bitvector variables read back from their
-// bit literals, and array models rebuilt from the Ackermann read terms
+// extractModel builds the satisfying assignment from the blaster's
+// SAT model: named bitvector variables read back from their bit
+// literals, and array models rebuilt from the Ackermann read terms
 // (read-term index expressions are pure bitvector expressions over
 // model variables, so they evaluate directly). Internal $rd read
 // variables are dropped from the visible model.
-func extractModelFrom(bl *blaster, elim *arrayElim, core *sat) (*expr.Assignment, error) {
+func extractModel(bl *blaster, elim *arrayElim) (*expr.Assignment, error) {
 	asn := expr.NewAssignment()
 	for name := range bl.vars {
-		if v, ok := bl.modelVar(core, name); ok {
+		if v, ok := bl.modelVar(name); ok {
 			asn.Vars[name] = v
 		}
 	}

@@ -15,9 +15,9 @@ import (
 // from zero for nearly every query. The workspace is instead owned by
 // the Solve call that borrows it: acquireWorkspace takes the package's
 // single idle workspace (or builds a new one), and releaseWorkspace
-// gives it back once the portfolio workers are joined and the model is
-// extracted. Reset keeps the capacity of every vector, map and the
-// slab, so in steady state a query allocates none of them.
+// gives it back once the model is extracted. Reset keeps the capacity
+// of every vector, map and the slab, so in steady state a query
+// allocates none of them.
 //
 // Retention: the idle slot holds at most one workspace — the one most
 // recently released, its core, maps and slab sized by the largest query
@@ -60,6 +60,5 @@ func releaseWorkspace(ws *workspace) {
 	clear(ws.bl.bits)
 	clear(ws.bl.vars)
 	ws.bl.budget = nil
-	ws.bl.narrow = nil
 	idleWS.Store(ws)
 }

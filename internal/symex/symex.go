@@ -74,12 +74,6 @@ type Options struct {
 	// flag is observed on every budget spend, not just at the deadline
 	// cadence. Pipelines wire their abort flag here.
 	Stop *solver.Cancel
-	// Portfolio, when Workers > 1, races each query's CDCL descent
-	// across seeded workers.
-	Portfolio solver.PortfolioOptions
-	// Absint enables the abstract-interpretation pre-discharge and
-	// width-narrowed blasting in the engine's solver.
-	Absint bool
 	// Slice optionally supplies the static backward failure slice of
 	// the module (dataflow.Analyze). When set, instructions statically
 	// proved unable to influence any failure condition are executed
@@ -147,21 +141,12 @@ type RunStats struct {
 	// queries.
 	SolverTime time.Duration
 	// SATVars/SATClauses accumulate the CNF size reported by every
-	// query (for one-shot solving, the total blasted volume — the
-	// quantity the absint experiment compares with narrowing on/off).
+	// query: the total blasted volume.
 	SATVars    int64
 	SATClauses int64
-	// AbsintDischarged counts queries the abstract pre-discharge pass
-	// decided without CDCL; AbsintBits variable bits pinned during
-	// blasting from known-bits facts.
-	AbsintDischarged int64
-	AbsintBits       int64
-	Elapsed          time.Duration
-	PCSize           int
-	GraphNodes       int
-	// Portfolio carries the solver's racing counters (zero unless
-	// Options.Portfolio races).
-	Portfolio solver.PortfolioStats
+	Elapsed    time.Duration
+	PCSize     int
+	GraphNodes int
 }
 
 // Result is the outcome of a shepherded symbolic execution.
@@ -223,19 +208,17 @@ type Engine struct {
 	exprSites map[uint64]SiteKey
 	sites     map[SiteKey]*SiteStats
 
-	instrs        int64
-	symSteps      int64
-	concSteps     int64
-	satVars       int64
-	satClauses    int64
-	absDischarged int64
-	absBits       int64
-	queries       int64
-	qsteps        int64
-	qtime         time.Duration
-	start         time.Time
-	progress      []ProgressPoint
-	stallExpr     *expr.Expr
+	instrs     int64
+	symSteps   int64
+	concSteps  int64
+	satVars    int64
+	satClauses int64
+	queries    int64
+	qsteps     int64
+	qtime      time.Duration
+	start      time.Time
+	progress   []ProgressPoint
+	stallExpr  *expr.Expr
 
 	res *Result
 }
@@ -318,12 +301,10 @@ func NewFromEvents(mod *ir.Module, src pt.EventSource, failure *vm.Failure, opts
 	}
 	b := expr.NewBuilder()
 	sol := solver.New(b, solver.Options{
-		MaxSteps:  opts.QueryBudget,
-		Timeout:   opts.QueryTimeout,
-		Validate:  false,
-		Stop:      opts.Stop,
-		Portfolio: opts.Portfolio,
-		Absint:    opts.Absint,
+		MaxSteps: opts.QueryBudget,
+		Timeout:  opts.QueryTimeout,
+		Validate: false,
+		Stop:     opts.Stop,
 	})
 	e := &Engine{
 		mod:       mod,
@@ -383,20 +364,17 @@ func (e *Engine) Run(entry string) *Result {
 		})
 	}
 	res.Stats = RunStats{
-		Instrs:           e.instrs,
-		SymSteps:         e.symSteps,
-		ConcSteps:        e.concSteps,
-		SolverQueries:    e.queries,
-		SolverSteps:      e.qsteps,
-		SolverTime:       e.qtime,
-		SATVars:          e.satVars,
-		SATClauses:       e.satClauses,
-		AbsintDischarged: e.absDischarged,
-		AbsintBits:       e.absBits,
-		Portfolio:        e.sol.PortfolioStats(),
-		Elapsed:          time.Since(e.start),
-		PCSize:           len(e.pc),
-		GraphNodes:       e.b.NumNodes(),
+		Instrs:        e.instrs,
+		SymSteps:      e.symSteps,
+		ConcSteps:     e.concSteps,
+		SolverQueries: e.queries,
+		SolverSteps:   e.qsteps,
+		SolverTime:    e.qtime,
+		SATVars:       e.satVars,
+		SATClauses:    e.satClauses,
+		Elapsed:       time.Since(e.start),
+		PCSize:        len(e.pc),
+		GraphNodes:    e.b.NumNodes(),
 	}
 	switch x := err.(type) {
 	case nil:
@@ -435,10 +413,6 @@ func (e *Engine) reportMetrics(res *Result) {
 		"solver queries issued").Add(res.Stats.SolverQueries)
 	reg.Counter("er_symex_solver_steps_total",
 		"abstract solver steps spent").Add(res.Stats.SolverSteps)
-	reg.Counter("er_absint_oneshot_discharged_total",
-		"engine queries decided by the abstract pre-discharge pass").Add(res.Stats.AbsintDischarged)
-	reg.Counter("er_absint_oneshot_bits_total",
-		"variable bits pinned during blasting from known-bits facts").Add(res.Stats.AbsintBits)
 	reg.Histogram("er_symex_run_seconds",
 		"shepherded execution wall time per run", nil).ObserveDuration(res.Stats.Elapsed)
 	reg.Histogram("er_symex_solver_seconds",
@@ -459,10 +433,6 @@ func (e *Engine) solve(extra ...*expr.Expr) (solver.Result, *expr.Assignment, er
 	e.qtime += st.Elapsed
 	e.satVars += int64(st.SATVars)
 	e.satClauses += int64(st.SATClauses)
-	if st.AbsintDischarged {
-		e.absDischarged++
-	}
-	e.absBits += int64(st.AbsintBits)
 	return r, m, err
 }
 

@@ -108,3 +108,32 @@ func main() int {
 		t.Errorf("framed calls allocate: %.0f for 100 calls, %.0f for 10,000", small, large)
 	}
 }
+
+// TestWorkloadResetAllocs checks that replaying a workload allocates
+// nothing once each stream has been read: Reset rewinds the read
+// cursors in place, and Next reads through them.
+func TestWorkloadResetAllocs(t *testing.T) {
+	w := vm.NewWorkload().Add("req", 1, 2, 3).Add("arg", 7).Add("empty")
+	drain := func() {
+		w.Reset()
+		for _, tag := range []string{"req", "arg", "empty", "missing"} {
+			want := w.Streams[tag]
+			for i := 0; ; i++ {
+				v, ok := w.Next(tag, 32)
+				if !ok {
+					if i != len(want) {
+						t.Fatalf("stream %s ended after %d of %d values", tag, i, len(want))
+					}
+					break
+				}
+				if v != want[i] {
+					t.Fatalf("stream %s value %d = %d, want %d", tag, i, v, want[i])
+				}
+			}
+		}
+	}
+	drain()
+	if n := testing.AllocsPerRun(100, drain); n != 0 {
+		t.Errorf("Reset plus a full read allocates %.1f times, want 0", n)
+	}
+}

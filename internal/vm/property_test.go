@@ -167,3 +167,24 @@ func (nullTracer) TIP(uint64)                  {}
 func (nullTracer) PTW(int32, ir.Width, uint64) {}
 func (nullTracer) Chunk(int, uint64)           {}
 func (nullTracer) PGD(uint64)                  {}
+
+// TestWorkloadAddAfterNext: values added to a stream already being
+// read are read in turn, and Reset picks up streams edited directly.
+func TestWorkloadAddAfterNext(t *testing.T) {
+	w := vm.NewWorkload().Add("a", 1)
+	if v, ok := w.Next("a", 32); !ok || v != 1 {
+		t.Fatal("first next")
+	}
+	if _, ok := w.Next("a", 32); ok {
+		t.Fatal("stream not exhausted")
+	}
+	w.Add("a", 2)
+	if v, ok := w.Next("a", 32); !ok || v != 2 {
+		t.Errorf("value added after exhaustion not read: %d %v", v, ok)
+	}
+	w.Streams["a"] = []uint64{5, 6}
+	w.Reset()
+	if v, _ := w.Next("a", 32); v != 5 {
+		t.Errorf("Reset did not re-read the edited stream: got %d", v)
+	}
+}

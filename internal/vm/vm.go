@@ -118,38 +118,63 @@ type InputSource interface {
 // Workload is the standard InputSource: per-tag FIFO queues. The
 // generated test case of a successful reconstruction is exactly a
 // Workload.
+//
+// Streams may be edited directly while the workload is rewound (new,
+// cloned or just Reset); once reading has begun, extend a stream with
+// Add, which keeps its read cursor in step.
 type Workload struct {
 	Streams map[string][]uint64
-	pos     map[string]int
+	// cur holds one read cursor per tag read since the workload was
+	// built. Cursors survive Reset, which rewinds them in place, so a
+	// workload replayed run after run reads each value with a single
+	// map lookup and allocates nothing.
+	cur map[string]*cursor
+}
+
+// cursor is a stream's read position, beside the stream it reads.
+type cursor struct {
+	vals []uint64
+	pos  int
 }
 
 // NewWorkload returns an empty workload.
 func NewWorkload() *Workload {
-	return &Workload{Streams: make(map[string][]uint64), pos: make(map[string]int)}
+	return &Workload{Streams: make(map[string][]uint64)}
 }
 
 // Add appends values to stream tag.
 func (w *Workload) Add(tag string, vals ...uint64) *Workload {
-	w.Streams[tag] = append(w.Streams[tag], vals...)
+	s := append(w.Streams[tag], vals...)
+	w.Streams[tag] = s
+	if c := w.cur[tag]; c != nil {
+		c.vals = s
+	}
 	return w
 }
 
 // Next implements InputSource.
 func (w *Workload) Next(tag string, _ ir.Width) (uint64, bool) {
-	if w.pos == nil {
-		w.pos = make(map[string]int)
+	c := w.cur[tag]
+	if c == nil {
+		if w.cur == nil {
+			w.cur = make(map[string]*cursor)
+		}
+		c = &cursor{vals: w.Streams[tag]}
+		w.cur[tag] = c
 	}
-	p := w.pos[tag]
-	s := w.Streams[tag]
-	if p >= len(s) {
+	if c.pos >= len(c.vals) {
 		return 0, false
 	}
-	w.pos[tag] = p + 1
-	return s[p], true
+	c.pos++
+	return c.vals[c.pos-1], true
 }
 
-// Reset rewinds all streams.
-func (w *Workload) Reset() { w.pos = make(map[string]int) }
+// Reset rewinds all streams, re-reading each from Streams.
+func (w *Workload) Reset() {
+	for tag, c := range w.cur {
+		c.vals, c.pos = w.Streams[tag], 0
+	}
+}
 
 // Clone returns a rewound deep copy.
 func (w *Workload) Clone() *Workload {
